@@ -5,7 +5,8 @@ likelihood-ratio test on discrete data, and a d-separation oracle over a
 known DAG. Learners only ever talk to the engine, so swapping data for
 ground truth (or capping the conditioning size) never touches algorithm
 code. The engine counts every query; reported test counts in benchmarks
-are exactly this counter, so no result caching happens here.
+are exactly this counter. Beneath the counter each engine memoises its
+results, so a repeated query costs a lookup but still counts as a test.
 """
 
 from __future__ import annotations
@@ -69,15 +70,12 @@ def g2_statistic(table: ContingencyTable) -> tuple[float, int]:
     c = counts.astype(np.float64)
     row = c.sum(axis=1, keepdims=True)        # N_i.k
     col = c.sum(axis=0, keepdims=True)        # N_.jk
-    tot = c.sum(axis=(0, 1), keepdims=True)   # N_..k
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(c > 0, c * tot / (row * col), 1.0)
-        terms = np.where(c > 0, c * np.log(ratio), 0.0)
-    stat = 2.0 * float(terms.sum())
-    nz_rows = (counts.sum(axis=1) > 0).sum(axis=0)
-    nz_cols = (counts.sum(axis=0) > 0).sum(axis=0)
-    dof = int(np.maximum(nz_rows - 1, 0).astype(np.int64)
-              @ np.maximum(nz_cols - 1, 0).astype(np.int64))
+    tot = row.sum(axis=0, keepdims=True)      # N_..k
+    ratio = np.divide(c * tot, row * col, out=np.ones_like(c), where=c > 0)
+    stat = 2.0 * float((c * np.log(ratio)).sum())
+    nz_rows = (row[:, 0] > 0).sum(axis=0)
+    nz_cols = (col[0] > 0).sum(axis=0)
+    dof = int(np.maximum(nz_rows - 1, 0) @ np.maximum(nz_cols - 1, 0))
     return max(stat, 0.0), dof
 
 
@@ -85,8 +83,10 @@ class CiEngine:
     """Conditional independence authority with a monotone query counter.
 
     Build one with :meth:`g2` (discrete data) or :meth:`oracle` (known
-    DAG). Queries are symmetric and deterministic: the same (x, y, z)
-    always yields the same result on the same engine.
+    DAG). Queries are symmetric and deterministic: each distinct
+    ``(min(x, y), max(x, y), sorted z)`` is computed once, in that order,
+    and stored for the life of the engine, so (x, y, z) and (y, x, z)
+    give the same result. The store belongs to this engine alone.
     """
 
     def __init__(self, *, data: Optional[Dataset] = None, dag: Optional[Dag] = None,
@@ -104,6 +104,7 @@ class CiEngine:
         self.reliability_k = reliability_k
         self.max_cond_size = max_cond_size
         self._count = 0
+        self._results: dict[tuple[int, int, tuple[int, ...]], CiResult] = {}
 
     @classmethod
     def g2(cls, data: Dataset, alpha: float = 0.01, reliability_k: float = 5.0,
@@ -142,9 +143,15 @@ class CiEngine:
         return z
 
     def ci_test(self, x: int, y: int, z: Iterable[int] = ()) -> CiResult:
-        """Test x against y given z. Every call increments the counter."""
-        z = self._check(x, y, tuple(z))
+        """Test x against y given z. Every call increments the counter,
+        repeats included; only a query not seen before is computed."""
+        key = (min(x, y), max(x, y), self._check(x, y, tuple(z)))
         self._count += 1
+        if key not in self._results:
+            self._results[key] = self._compute(*key)
+        return self._results[key]
+
+    def _compute(self, x: int, y: int, z: tuple[int, ...]) -> CiResult:
         if self._dag is not None:
             indep = d_separated(self._dag, x, y, z)
             return CiResult(independent=indep, statistic=0.0 if indep else 1.0,
@@ -165,7 +172,7 @@ class CiEngine:
                         dof=dof, reliable=reliable)
 
     def assoc(self, x: int, y: int, z: Iterable[int] = ()) -> float:
-        """Dependency strength of x and y given z (a fresh test).
+        """Dependency strength of x and y given z (one counted query).
 
         Data backend: the G² statistic. Oracle backend: 1.0 for
         dependent, 0.0 for independent.

@@ -9,6 +9,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -176,33 +177,31 @@ def cmd_benchmark(bif: Path, config: RunConfig) -> int:
         "targets": [names[t] for t in targets],
         "sizes": [],
     }
-    for size in config.sizes:
-        size_block = {"size": size, "runs": [], "aggregate": None}
-        run_means: list[LocalScore] = []
-        for run in range(config.runs):
-            run_seed = config.seed + run
-            data = sample(net, size, run_seed)
-            if config.workers > 1:
-                with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                    scores = list(pool.map(
-                        _bench_star,
-                        [(data, net, t, config) for t in targets]))
-            else:
-                scores = [_bench_target(data, net, t, config)
-                          for t in targets]
-            mean = {k: v["mean"] for k, v in aggregate(scores).items()}
-            run_means.append(LocalScore(**mean))
-            size_block["runs"].append({
-                "run": run,
-                "seed": run_seed,
-                "per_target": [
-                    {"target": names[t], **_score_dict(s)}
-                    for t, s in zip(targets, scores)
-                ],
-                "mean": mean,
-            })
-        size_block["aggregate"] = aggregate(run_means)
-        report["sizes"].append(size_block)
+    pool = (ProcessPoolExecutor(max_workers=config.workers)
+            if config.workers > 1 else contextlib.nullcontext())
+    with pool as executor:
+        mapper = executor.map if executor is not None else map
+        for size in config.sizes:
+            size_block = {"size": size, "runs": [], "aggregate": None}
+            run_means: list[LocalScore] = []
+            for run in range(config.runs):
+                run_seed = config.seed + run
+                data = sample(net, size, run_seed)
+                scores = list(mapper(_bench_star,
+                                     [(data, net, t, config) for t in targets]))
+                mean = {k: v["mean"] for k, v in aggregate(scores).items()}
+                run_means.append(LocalScore(**mean))
+                size_block["runs"].append({
+                    "run": run,
+                    "seed": run_seed,
+                    "per_target": [
+                        {"target": names[t], **_score_dict(s)}
+                        for t, s in zip(targets, scores)
+                    ],
+                    "mean": mean,
+                })
+            size_block["aggregate"] = aggregate(run_means)
+            report["sizes"].append(size_block)
     _print_table(report)
     text = json.dumps(report, indent=2, sort_keys=True)
     if config.out is not None:

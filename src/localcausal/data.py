@@ -74,15 +74,13 @@ class ContingencyTable:
 
     Attributes:
         counts: int64 array of shape (rx, ry, n_strata). Strata with zero
-            rows are not materialized.
-        strata: the observed conditioning-value tuples, one per stratum,
-            in lexicographic order. Tuple positions follow the ascending
-            variable indexes of the conditioning set.
+            rows are not materialized; the rest follow the lexicographic
+            order of their conditioning-value tuples (tuple positions
+            follow the ascending variable indexes of the conditioning set).
         n: total row count (equals counts.sum()).
     """
 
     counts: np.ndarray = field(repr=False)
-    strata: tuple[tuple[int, ...], ...]
     n: int
 
     @property
@@ -189,30 +187,26 @@ def contingency(data: Dataset, x: int, y: int, z=()) -> ContingencyTable:
     Strata are indexed in lexicographic order of the conditioning tuples
     (tuple positions follow ascending variable index). Unobserved strata
     do not appear.
+
+    The stratum code grows one conditioning variable at a time and is
+    renumbered by rank once its range outgrows the row count, which keeps
+    the order and bounds the single ``bincount`` by the rows.
     """
     z = sorted(set(z))
     if x == y or x in z or y in z:
         raise DatasetError("x, y and z must be distinct")
     rx, ry = data.cardinalities[x], data.cardinalities[y]
     n = data.n_rows
-    if not z:
-        strata_idx = np.zeros(n, dtype=np.int64)
-        strata: tuple[tuple[int, ...], ...] = ((),)
-        n_strata = 1
-    else:
-        zcols = data.columns[z].astype(np.int64)
-        zdims = tuple(data.cardinalities[j] for j in z)
-        codes = np.ravel_multi_index(zcols, zdims) if n else np.empty(0, np.int64)
-        uniq, strata_idx = np.unique(codes, return_inverse=True)
-        n_strata = len(uniq)
-        unravelled = np.unravel_index(uniq, zdims)
-        strata = tuple(
-            tuple(int(axis[k]) for axis in unravelled) for k in range(n_strata)
-        )
-    if n == 0:
-        counts = np.zeros((rx, ry, max(n_strata, 0)), dtype=np.int64)
-        return ContingencyTable(counts, strata if n_strata else (), 0)
+    code = np.zeros(n, dtype=np.int64)
+    n_strata = 1
+    for j in z:
+        code *= data.cardinalities[j]
+        code += data.columns[j]
+        n_strata *= data.cardinalities[j]
+        if n_strata > n:
+            uniq, code = np.unique(code, return_inverse=True)
+            n_strata = len(uniq)
     flat = (data.columns[x].astype(np.int64) * ry + data.columns[y]) * n_strata
-    flat += strata_idx
+    flat += code
     counts = np.bincount(flat, minlength=rx * ry * n_strata).reshape(rx, ry, n_strata)
-    return ContingencyTable(counts, strata, n)
+    return ContingencyTable(counts.compress(counts.any(axis=(0, 1)), axis=2), n)

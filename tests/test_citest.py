@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import localcausal.citest
 from localcausal import (
     CiEngine,
     CondSizeExceeded,
@@ -11,18 +12,18 @@ from localcausal import (
     chi2_sf,
     contingency,
     g2_statistic,
+    sample,
 )
 from localcausal.data import ContingencyTable
 
-from oracles import chi2_sf_numeric, g2_brute
+from oracles import chi2_sf_numeric, contingency_brute, g2_brute
 
 
 def table_from(counts) -> ContingencyTable:
     arr = np.asarray(counts, dtype=np.int64)
     if arr.ndim == 2:
         arr = arr[:, :, None]
-    strata = tuple((k,) for k in range(arr.shape[2])) if arr.shape[2] > 1 else ((),)
-    return ContingencyTable(arr, strata, int(arr.sum()))
+    return ContingencyTable(arr, int(arr.sum()))
 
 
 def test_g2_uniform_table_is_zero():
@@ -44,10 +45,18 @@ def test_g2_skewed_table_frozen_value():
 
 
 def test_g2_two_strata_diagonal():
-    counts = np.zeros((2, 2, 2), dtype=np.int64)
-    counts[:, :, 0] = [[5, 0], [0, 5]]
-    counts[:, :, 1] = [[5, 0], [0, 5]]
-    table = ContingencyTable(counts, ((0,), (1,)), 20)
+    # In each stratum z = 0 and z = 1: five rows of x = y = 0, five of
+    # x = y = 1.
+    xy = [0] * 5 + [1] * 5
+    cols = np.array([xy * 2, xy * 2, [0] * 10 + [1] * 10], dtype=np.int32)
+    data = Dataset(("x", "y", "z"), (2, 2, 2), cols)
+    table = contingency(data, 0, 1, (2,))
+    brute = contingency_brute(cols, data.cardinalities, 0, 1, (2,))
+    assert sorted(brute) == [(0,), (1,)]
+    assert table.n == 20
+    for s, key in enumerate(sorted(brute)):
+        assert brute[key].tolist() == [[5, 0], [0, 5]]
+        assert np.array_equal(table.counts[:, :, s], brute[key])
     stat, dof = g2_statistic(table)
     assert stat == pytest.approx(40 * math.log(2), abs=1e-12)
     assert dof == 2
@@ -69,9 +78,7 @@ def test_g2_matches_brute_force_on_random_tables():
     for _ in range(100):
         rx, ry, s = rng.integers(2, 5, size=3)
         counts = rng.integers(0, 30, size=(rx, ry, s)).astype(np.int64)
-        table = ContingencyTable(
-            counts, tuple((k,) for k in range(s)), int(counts.sum())
-        )
+        table = ContingencyTable(counts, int(counts.sum()))
         stat, dof = g2_statistic(table)
         brute_stat, brute_dof = g2_brute(counts)
         assert stat == pytest.approx(brute_stat, abs=1e-9)
@@ -255,3 +262,88 @@ def test_engine_is_deterministic():
     first = eng.ci_test(0, 1)
     second = eng.ci_test(0, 1)
     assert first == second
+
+
+def store_streams(alarm_net):
+    """(engine factory, query stream) for alarm data and the oracle chain;
+    each stream repeats queries and swaps x and y."""
+    data = sample(alarm_net, 2000, 3)
+    rng = np.random.Generator(np.random.PCG64(31))
+    queries = []
+    for _ in range(60):
+        x, y = (int(v) for v in rng.choice(data.n_vars, size=2, replace=False))
+        pool = [v for v in range(data.n_vars) if v not in (x, y)]
+        z = [int(v) for v in rng.choice(pool, size=int(rng.integers(0, 4)),
+                                         replace=False)]
+        queries.append((x, y, tuple(z)))
+    alarm = queries + [(y, x, tuple(reversed(z))) for x, y, z in queries[::2]]
+    alarm += queries[::3]
+    chain = [(0, 2, ()), (2, 0, ()), (0, 2, (1,)), (2, 0, (1,)), (0, 1, ()),
+             (1, 0, ()), (0, 2, (1, 1)), (0, 2, ())]
+    return [(lambda: CiEngine.g2(data), alarm),
+            (lambda: CiEngine.oracle(chain_dag()), chain)]
+
+
+def canonical(x, y, z):
+    return (min(x, y), max(x, y), tuple(sorted(set(z))))
+
+
+def counting(monkeypatch):
+    """Count the calls that reach the data and oracle backends."""
+    calls = []
+    for name in ("contingency", "d_separated"):
+        original = getattr(localcausal.citest, name)
+
+        def wrapper(*args, _original=original):
+            calls.append(args[1:])
+            return _original(*args)
+
+        monkeypatch.setattr(localcausal.citest, name, wrapper)
+    return calls
+
+
+def test_engine_store_answers_like_fresh_engines(alarm_net):
+    for make, stream in store_streams(alarm_net):
+        engine = make()
+        for x, y, z in stream:
+            assert engine.ci_test(x, y, z) == make().ci_test(x, y, z)
+
+
+def test_engine_counts_every_query_including_repeats(alarm_net):
+    for make, stream in store_streams(alarm_net):
+        engine = make()
+        for i, (x, y, z) in enumerate(stream, start=1):
+            engine.ci_test(x, y, z)
+            assert engine.test_count == i
+        assert len({canonical(*q) for q in stream}) < len(stream)
+
+
+def test_engine_computes_each_canonical_key_once(alarm_net, monkeypatch):
+    calls = counting(monkeypatch)
+    for make, stream in store_streams(alarm_net):
+        calls.clear()
+        engine = make()
+        for x, y, z in stream:
+            engine.ci_test(x, y, z)
+        keys = {canonical(*q) for q in stream}
+        assert len(calls) == len(keys)
+        assert {(x, y, tuple(z)) for x, y, z in calls} == keys
+
+
+def test_engines_share_no_results(alarm_net, monkeypatch):
+    calls = counting(monkeypatch)
+    for make, stream in store_streams(alarm_net):
+        first, second = make(), make()
+        for x, y, z in stream:
+            first.ci_test(x, y, z)
+        calls.clear()
+        for x, y, z in stream:
+            second.ci_test(x, y, z)
+        assert len(calls) == len({canonical(*q) for q in stream})
+        assert second.test_count == len(stream)
+
+
+def test_engine_is_symmetric_in_x_and_y(alarm_net):
+    for make, stream in store_streams(alarm_net):
+        for x, y, z in stream:
+            assert make().ci_test(x, y, z) == make().ci_test(y, x, z)

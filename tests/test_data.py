@@ -159,11 +159,22 @@ def test_save_csv_without_sidecar(tmp_path):
     assert not (tmp_path / "out.card").exists()
 
 
+def brute_strata(table, data, x, y, z=()):
+    """Check ``table`` against the brute-force recount, stratum by stratum
+    in sorted-key order, and return the observed keys in that order."""
+    brute = contingency_brute(data.columns, data.cardinalities, x, y, tuple(z))
+    keys = sorted(brute)
+    assert table.dims == (data.cardinalities[x], data.cardinalities[y], len(keys))
+    for s, key in enumerate(keys):
+        assert np.array_equal(table.counts[:, :, s], brute[key])
+    return keys
+
+
 def test_contingency_unconditional():
     data = small_dataset()
     table = contingency(data, 0, 1)
     assert table.dims == (2, 2, 1)
-    assert table.strata == ((),)
+    assert brute_strata(table, data, 0, 1) == [()]
     assert table.n == 6
     # rows of (a, b): (0,1) (1,1) (0,0) (1,0) (1,1) (0,0)
     assert table.counts[:, :, 0].tolist() == [[2, 1], [1, 2]]
@@ -173,7 +184,7 @@ def test_contingency_conditional_strata_in_order():
     data = small_dataset()
     table = contingency(data, 0, 1, (2,))
     # c takes values 0, 1, 2; all observed.
-    assert table.strata == ((0,), (1,), (2,))
+    assert brute_strata(table, data, 0, 1, (2,)) == [(0,), (1,), (2,)]
     assert table.counts.sum() == 6
     # stratum c=2 has rows 1 and 3: (a,b) = (1,1) and (1,0)
     assert table.counts[:, :, 2].tolist() == [[0, 0], [1, 1]]
@@ -183,7 +194,7 @@ def test_contingency_skips_unobserved_strata():
     cols = np.array([[0, 1], [1, 0], [2, 2]], dtype=np.int32)
     data = Dataset(("a", "b", "c"), (2, 2, 3), cols)
     table = contingency(data, 0, 1, (2,))
-    assert table.strata == ((2,),)
+    assert brute_strata(table, data, 0, 1, (2,)) == [(2,)]
     assert table.dims == (2, 2, 1)
 
 
@@ -213,8 +224,36 @@ def test_contingency_matches_brute_force():
         k = int(rng.integers(0, 3))
         z = tuple(rng.choice(pool, size=k, replace=False))
         table = contingency(data, int(x), int(y), z)
-        brute = contingency_brute(cols, cards, int(x), int(y), z)
-        assert set(table.strata) == set(brute)
-        for s, key in enumerate(table.strata):
-            assert np.array_equal(table.counts[:, :, s], brute[key])
-        assert list(table.strata) == sorted(table.strata)
+        brute_strata(table, data, int(x), int(y), z)
+
+
+def test_contingency_conditioning_space_beyond_int64():
+    # 10**22 conditioning cells overflow a flat int64 stratum index.
+    rng = np.random.Generator(np.random.PCG64(24))
+    cols = rng.integers(0, 10, size=(24, 500)).astype(np.int32)
+    data = Dataset(tuple(f"v{i}" for i in range(24)), (10,) * 24, cols)
+    z = tuple(range(2, 24))
+    table = contingency(data, 0, 1, z)
+    assert table.n == 500
+    assert len(brute_strata(table, data, 0, 1, z)) == 500
+
+
+def test_contingency_matches_brute_force_on_wide_conditioning_sets():
+    # Cardinality floors up to 10 and full conditioning sets push most
+    # conditioning spaces past the row count, and some past int64.
+    rng = np.random.Generator(np.random.PCG64(25))
+    for _ in range(80):
+        n_vars = int(rng.integers(5, 26))
+        low = int(rng.integers(2, 11))
+        cards = tuple(int(r) for r in rng.integers(low, 11, size=n_vars))
+        rows = int(rng.integers(1, 300))
+        cols = np.stack([rng.integers(0, r, size=rows)
+                         for r in cards]).astype(np.int32)
+        data = Dataset(tuple(f"v{i}" for i in range(n_vars)), cards, cols)
+        x, y = (int(v) for v in rng.choice(n_vars, size=2, replace=False))
+        pool = [v for v in range(n_vars) if v not in (x, y)]
+        k = len(pool) if rng.random() < 0.5 else int(rng.integers(0, len(pool) + 1))
+        z = tuple(int(v) for v in rng.choice(pool, size=k, replace=False))
+        table = contingency(data, x, y, z)
+        assert table.n == rows
+        brute_strata(table, data, x, y, z)

@@ -213,18 +213,13 @@ def sample(net: CptNetwork, n: int, seed: int) -> Dataset:
     if n < 0:
         raise ValueError("n must be nonnegative")
     rng = np.random.Generator(np.random.PCG64(seed))
-    order = topo_order(net.dag)
     columns = np.zeros((net.dag.n_vars, n), dtype=np.int32)
-    for v in order:
+    for v in topo_order(net.dag):
         u = rng.random(n)
-        ps = sorted(net.dag.parents[v])
-        if ps:
-            dims = tuple(net.cardinalities[p] for p in ps)
-            rows = np.ravel_multi_index(columns[ps].astype(np.int64), dims)
-            probs = net.cpts[v][rows]
-        else:
-            probs = np.broadcast_to(net.cpts[v][0], (n, net.cardinalities[v]))
-        cdf = np.cumsum(probs, axis=1)
-        codes = (u[:, None] > cdf).sum(axis=1)
-        columns[v] = np.minimum(codes, net.cardinalities[v] - 1)
+        cdf = np.cumsum(net.cpts[v], axis=1)
+        rows = np.intp(0)  # parent configuration, C order over sorted parents
+        for p in sorted(net.dag.parents[v]):
+            rows = rows * net.cardinalities[p] + columns[p]
+        for k in range(net.cardinalities[v] - 1):  # monotone cdf: codes stop at r - 1
+            columns[v] += u > cdf[rows, k]
     return Dataset(net.dag.names, tuple(net.cardinalities), columns)

@@ -170,17 +170,3 @@ class CiEngine:
         indep = (p > self.alpha) if reliable else False
         return CiResult(independent=indep, statistic=stat, p_value=p,
                         dof=dof, reliable=reliable)
-
-    def assoc(self, x: int, y: int, z: Iterable[int] = ()) -> float:
-        """Dependency strength of x and y given z (one counted query).
-
-        Data backend: the G² statistic. Oracle backend: 1.0 for
-        dependent, 0.0 for independent.
-        """
-        r = self.ci_test(x, y, z)
-        if self._dag is not None:
-            return 0.0 if r.independent else 1.0
-        return r.statistic
-
-    def independent(self, x: int, y: int, z: Iterable[int] = ()) -> bool:
-        return self.ci_test(x, y, z).independent

@@ -158,7 +158,10 @@ def cmd_benchmark(bif: Path, config: RunConfig) -> int:
     net = load_bif(bif)
     names = net.dag.names
     if config.targets:
-        targets = [net.dag.index_of(t) for t in config.targets]
+        try:
+            targets = [net.dag.index_of(t) for t in config.targets]
+        except KeyError as exc:
+            raise DatasetError(exc.args[0]) from None
     else:
         targets = list(range(net.dag.n_vars))
     report = {
@@ -326,7 +329,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DatasetError, BifParseError, KeyError) as exc:
+    except (DatasetError, BifParseError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

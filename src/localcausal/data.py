@@ -93,22 +93,27 @@ def _card_path(path: Path) -> Path:
     return path.with_suffix(".card")
 
 
+_BLOCK_ROWS = 1024  # rows per numpy pass: amortises calls, bounds temporaries
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_SPACE = np.array([b < 128 and b != 10 and chr(b).isspace() for b in range(256)])
+
+
 def load_csv(path: str | Path, cardinalities=None) -> Dataset:
     """Load a dataset from a header+integer-codes CSV file.
 
-    The file is UTF-8, comma separated, first line is the header. Cells
-    are base-10 nonnegative integers. If a ``.card`` sidecar file exists
-    next to ``path`` (one integer per line, header order) it fixes the
-    cardinalities; otherwise they are inferred as ``max code + 1`` per
-    column (floored at 2 so the type invariant holds). An explicit
-    ``cardinalities`` argument overrides both.
+    The file is UTF-8, comma separated, first line is the header; lines
+    end in ``\\n`` or ``\\r\\n``, blank lines are skipped, and a cell is
+    ASCII digits with optional whitespace around them, at most 2**31 - 1.
+    If a ``.card`` sidecar file exists next to ``path`` (one integer per
+    line, header order) it fixes the cardinalities; otherwise they are
+    inferred as ``max code + 1`` per column (floored at 2 so the type
+    invariant holds). An explicit ``cardinalities`` argument overrides both.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
-    lines = text.splitlines()
     if not lines:
         raise DatasetError(f"{path}: empty file, expected a header row")
     names = tuple(cell.strip() for cell in lines[0].split(","))
@@ -117,36 +122,67 @@ def load_csv(path: str | Path, cardinalities=None) -> Dataset:
     if len(set(names)) != len(names):
         raise DatasetError(f"{path}: duplicate name in header")
 
-    n_vars = len(names)
-    rows = np.empty((max(len(lines) - 1, 0), n_vars), dtype=np.int32)
+    columns = np.empty((len(names), len(lines) - 1), dtype=np.int32)
     kept = 0
-    for rownum, line in enumerate(lines[1:], start=1):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != n_vars:
-            raise DatasetError(
-                f"{path}: row {rownum} has {len(cells)} cells, expected {n_vars}"
-            )
-        for j, cell in enumerate(cells):
-            s = cell.strip()
-            if not (s.isascii() and s.isdigit()):
-                raise DatasetError(
-                    f"{path}: row {rownum}, column {names[j]!r}: "
-                    f"{cell.strip()!r} is not a nonnegative base-10 integer"
-                )
-            rows[kept, j] = int(s)
-        kept += 1
-    columns = rows[:kept].T.copy()
+    for start in range(1, len(lines), _BLOCK_ROWS):
+        block = lines[start:start + _BLOCK_ROWS]
+        rownums = range(start, start + len(block))
+        if not all(map(str.strip, block)):
+            rownums = [r for r in rownums if lines[r].strip()]
+            block = [lines[r] for r in rownums]
+        columns[:, kept:kept + len(block)] = _parse_block(block, rownums, names, path)
+        kept += len(block)
+    columns = np.ascontiguousarray(columns[:, :kept])
 
     if cardinalities is None:
         sidecar = _card_path(path)
         if sidecar.exists():
-            cardinalities = _load_cards(sidecar, n_vars)
+            cardinalities = _load_cards(sidecar, len(names))
         else:
             maxima = columns.max(axis=1, initial=-1)
             cardinalities = tuple(max(int(m) + 1, 2) for m in maxima)
     return Dataset(names, tuple(cardinalities), columns)
+
+
+def _parse_block(lines: list[str], rownums, names, path) -> np.ndarray:
+    """Codes of nonblank data lines, shape (len(names), len(lines)), or a
+    DatasetError for the first bad line, numbered by ``rownums``."""
+    n_vars = len(names)
+    text = "\n".join([*lines, ""])
+    if not text.isascii():
+        text = "\n".join(",".join(map(str.strip, ln.split(","))) for ln in [*lines, ""])
+    b = np.frombuffer(text.encode(), dtype=np.uint8)
+    kept = np.flatnonzero(~_SPACE[b])
+    b = b[kept]
+    seps = np.flatnonzero((b == ord(",")) | (b == ord("\n")))  # one per cell
+    widths = np.diff(np.flatnonzero(b[seps] == ord("\n")), prepend=-1)
+    ragged = np.append(np.flatnonzero(widths != n_vars), len(lines))[0]
+    digits = b - ord("0")
+    is_digit = digits < 10
+    bad = ~is_digit
+    bad[seps] = False
+    bad[1:] |= (np.diff(kept) > 1) & is_digit[1:] & is_digit[:-1]  # "1 2"
+    sizes = np.diff(seps, prepend=-1) - 1  # bytes per cell
+    values = np.zeros(len(seps), dtype=np.int64)
+    for k in range(min(sizes.max(initial=0), 10)):
+        d = np.where(sizes > k, digits.take(seps - 1 - k, mode="clip"), 0)
+        values += d.astype(np.int64) * _POW10[k]
+    if sizes.max(initial=0) > 10:  # a nonzero byte left of the last ten
+        nonzero = np.flatnonzero(digits)
+        bad[nonzero[nonzero < seps[np.searchsorted(seps, nonzero)] - 10]] = True
+    cell_bad = (sizes == 0) | (values > 2**31 - 1)
+    cell_bad[np.searchsorted(seps, np.flatnonzero(bad))] = True
+    first_bad = np.append(np.flatnonzero(cell_bad), len(seps))[0]
+    if first_bad < ragged * n_vars:
+        i, j = divmod(first_bad, n_vars)
+        s = lines[i].split(",")[j].strip()
+        what = ("exceeds 2**31 - 1" if s.isascii() and s.isdigit()
+                else "is not a nonnegative base-10 integer")
+        raise DatasetError(f"{path}: row {rownums[i]}, column {names[j]!r}: {s!r} {what}")
+    if ragged < len(lines):
+        raise DatasetError(f"{path}: row {rownums[ragged]} has "
+                           f"{lines[ragged].count(',') + 1} cells, expected {n_vars}")
+    return values.reshape(-1, n_vars).T
 
 
 def _load_cards(path: Path, n_vars: int) -> tuple[int, ...]:
@@ -158,7 +194,7 @@ def _load_cards(path: Path, n_vars: int) -> tuple[int, ...]:
         )
     cards = []
     for i, e in enumerate(entries):
-        if not e.isdigit():
+        if not (e.isascii() and e.isdigit()):
             raise DatasetError(f"{path}: line {i + 1}: {e!r} is not an integer")
         cards.append(int(e))
     return tuple(cards)
@@ -167,13 +203,23 @@ def _load_cards(path: Path, n_vars: int) -> tuple[int, ...]:
 def save_csv(data: Dataset, path: str | Path, sidecar: bool = True) -> None:
     """Write ``data`` as CSV plus, by default, a ``.card`` sidecar.
 
-    Loading the result reproduces the dataset exactly, including
-    cardinalities when the sidecar is written.
+    After the header, each row is its codes in unpadded base 10, comma
+    separated and ended by ``\\n``. Loading the result reproduces the
+    dataset exactly, including cardinalities when the sidecar is written.
     """
     path = Path(path)
-    out = [",".join(data.names)]
-    out.extend(",".join(str(int(v)) for v in row) for row in data.columns.T)
-    path.write_text("\n".join(out) + "\n", encoding="utf-8")
+    with path.open("wb") as f:
+        f.write((",".join(data.names) + "\n").encode("utf-8"))
+        for start in range(0, data.n_rows, _BLOCK_ROWS):
+            values = data.columns[:, start:start + _BLOCK_ROWS].T.ravel()
+            sizes = np.searchsorted(_POW10[1:], values, side="right") + 1
+            seps = np.cumsum(sizes + 1) - 1  # the byte after each cell
+            out = np.full(seps[-1] + 1, ord(","), dtype=np.uint8)
+            out[seps[data.n_vars - 1::data.n_vars]] = ord("\n")
+            for k in range(sizes.max()):
+                has = sizes > k
+                out[seps[has] - 1 - k] = ord("0") + values[has] // _POW10[k] % 10
+            f.write(out)
     if sidecar:
         _card_path(path).write_text(
             "\n".join(str(r) for r in data.cardinalities) + "\n", encoding="utf-8"

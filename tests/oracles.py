@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 
-from localcausal import CptNetwork, Dag
+from localcausal import CptNetwork, Dag, Dataset, DatasetError
+from localcausal.bnet import topo_order
 
 
 def g2_brute(counts: np.ndarray) -> tuple[float, int]:
@@ -144,3 +146,74 @@ def subsets_upto(pool, k):
     pool = sorted(pool)
     for size in range(min(k, len(pool)) + 1):
         yield from itertools.combinations(pool, size)
+
+
+def load_csv_reference(path) -> Dataset:
+    """Parse a dataset file one cell at a time with ``str`` methods.
+
+    Same grammar and messages as ``load_csv`` without a sidecar, so the
+    cardinalities are inferred. A cell beyond int32 makes the int32 store
+    raise ``OverflowError``.
+    """
+    path = Path(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines:
+        raise DatasetError(f"{path}: empty file, expected a header row")
+    names = tuple(cell.strip() for cell in lines[0].split(","))
+    if any(not n for n in names):
+        raise DatasetError(f"{path}: empty name in header")
+    if len(set(names)) != len(names):
+        raise DatasetError(f"{path}: duplicate name in header")
+
+    n_vars = len(names)
+    rows = np.empty((max(len(lines) - 1, 0), n_vars), dtype=np.int32)
+    kept = 0
+    for rownum, line in enumerate(lines[1:], start=1):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != n_vars:
+            raise DatasetError(
+                f"{path}: row {rownum} has {len(cells)} cells, expected {n_vars}"
+            )
+        for j, cell in enumerate(cells):
+            s = cell.strip()
+            if not (s.isascii() and s.isdigit()):
+                raise DatasetError(
+                    f"{path}: row {rownum}, column {names[j]!r}: "
+                    f"{cell.strip()!r} is not a nonnegative base-10 integer"
+                )
+            rows[kept, j] = int(s)
+        kept += 1
+    columns = rows[:kept].T.copy()
+    maxima = columns.max(axis=1, initial=-1)
+    return Dataset(names, tuple(max(int(m) + 1, 2) for m in maxima), columns)
+
+
+def save_csv_reference(data: Dataset) -> bytes:
+    """The bytes of a dataset file, formatted one cell at a time."""
+    out = [",".join(data.names)]
+    out.extend(",".join(str(int(v)) for v in row) for row in data.columns.T)
+    return ("\n".join(out) + "\n").encode("utf-8")
+
+
+def sample_reference(net: CptNetwork, n: int, seed: int) -> Dataset:
+    """Forward sampling with a cumulative CPT row per sampled row."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    order = topo_order(net.dag)
+    columns = np.zeros((net.dag.n_vars, n), dtype=np.int32)
+    for v in order:
+        u = rng.random(n)
+        ps = sorted(net.dag.parents[v])
+        if ps:
+            dims = tuple(net.cardinalities[p] for p in ps)
+            rows = np.ravel_multi_index(columns[ps].astype(np.int64), dims)
+            probs = net.cpts[v][rows]
+        else:
+            probs = np.broadcast_to(net.cpts[v][0], (n, net.cardinalities[v]))
+        cdf = np.cumsum(probs, axis=1)
+        codes = (u[:, None] > cdf).sum(axis=1)
+        columns[v] = np.minimum(codes, net.cardinalities[v] - 1)
+    return Dataset(net.dag.names, tuple(net.cardinalities), columns)

@@ -6,12 +6,14 @@ from localcausal import (
     CycleError,
     Dag,
     d_separated,
+    load_bif,
     sample,
     topo_order,
     true_mb,
 )
+from localcausal.assets import asset_path
 
-from oracles import d_separated_paths, random_dag, random_network
+from oracles import d_separated_paths, random_dag, random_network, sample_reference
 
 
 def diamond():
@@ -191,3 +193,21 @@ def test_sample_random_networks_round_trip():
         assert data.n_rows == 50
         for v in range(dag.n_vars):
             assert data.column(v).max() < net.cardinalities[v]
+
+
+@pytest.mark.parametrize("network", ["trace", "alarm", "child10"])
+def test_sample_matches_reference_bit_for_bit(network):
+    net = load_bif(asset_path(network))
+    for seed in (0, 1, 17):
+        for n in (0, 1, 5000):
+            data = sample(net, n, seed)
+            assert np.array_equal(data.columns, sample_reference(net, n, seed).columns)
+            assert data.columns.dtype == np.int32
+
+
+def test_sample_matches_reference_on_random_networks():
+    rng = np.random.Generator(np.random.PCG64(12))
+    for i in range(20):
+        net = random_network(rng, random_dag(rng, max_nodes=12), max_card=6)
+        data = sample(net, 3000, seed=i)
+        assert np.array_equal(data.columns, sample_reference(net, 3000, i).columns)

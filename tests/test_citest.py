@@ -146,8 +146,8 @@ def test_oracle_engine_chain():
 
 def test_oracle_assoc_is_binary():
     eng = CiEngine.oracle(chain_dag())
-    assert eng.assoc(0, 2) == 1.0
-    assert eng.assoc(0, 2, (1,)) == 0.0
+    assert eng.ci_test(0, 2).statistic == 1.0
+    assert eng.ci_test(0, 2, (1,)).statistic == 0.0
     assert eng.test_count == 2
 
 
@@ -155,8 +155,8 @@ def test_engine_counter_is_monotone():
     eng = CiEngine.oracle(chain_dag())
     before = eng.test_count
     eng.ci_test(0, 1)
-    eng.assoc(1, 2)
-    eng.independent(0, 2)
+    eng.ci_test(1, 2)
+    eng.ci_test(0, 2)
     assert eng.test_count == before + 3
 
 
@@ -217,7 +217,7 @@ def test_data_engine_assoc_returns_statistic():
     eng = CiEngine.g2(data)
     table = contingency(data, 0, 1)
     stat, _ = g2_statistic(table)
-    assert eng.assoc(0, 1) == pytest.approx(stat, abs=1e-12)
+    assert eng.ci_test(0, 1).statistic == pytest.approx(stat, abs=1e-12)
 
 
 def test_unreliable_test_forced_dependent():

@@ -136,6 +136,35 @@ def test_learn_internal_error_is_exit_3(sampled, capsys, monkeypatch):
     assert "internal error" in capsys.readouterr().err
 
 
+def test_learn_internal_key_error_is_exit_3(sampled, capsys, monkeypatch):
+    import localcausal.cli as cli
+
+    def boom(*args, **kwargs):
+        raise KeyError("internal lookup")
+
+    monkeypatch.setattr(cli, "elcs", boom)
+    assert main(["learn", str(sampled), "--target", "T"]) == 3
+    assert "internal error: KeyError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows, card", [
+    ("2147483648\n", None),
+    ("99999999999\n", None),
+    ("0\n1\n", "\u00b2\n"),
+    (b"\xff\n", None),
+])
+def test_learn_bad_csv_is_exit_2(tmp_path, capsys, rows, card):
+    csv = tmp_path / "d.csv"
+    if isinstance(rows, bytes):
+        csv.write_bytes(b"T\n" + rows)
+    else:
+        csv.write_text("T\n" + rows, encoding="utf-8")
+    if card is not None:
+        csv.with_suffix(".card").write_text(card, encoding="utf-8")
+    assert main(["learn", str(csv), "--target", "T"]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
 def bench(tmp_path, name, *extra):
     out = tmp_path / name
     args = ["benchmark", TRACE, "--sizes", "300", "--runs", "2",
@@ -178,6 +207,12 @@ def test_benchmark_workers_match_serial(tmp_path, capsys):
     fanned = bench(tmp_path, "w.json", "--workers", "2")
     capsys.readouterr()
     assert strip_times(serial) == strip_times(fanned)
+
+
+def test_benchmark_unknown_target_is_exit_2(capsys):
+    assert main(["benchmark", TRACE, "--sizes", "100",
+                 "--target", "NOPE"]) == 2
+    assert "data error: unknown variable 'NOPE'" in capsys.readouterr().err
 
 
 def test_benchmark_usage_errors(tmp_path, capsys):

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from localcausal import Dataset, DatasetError, contingency, load_csv, save_csv
+from localcausal.data import _BLOCK_ROWS
 
-from oracles import contingency_brute
+from oracles import contingency_brute, load_csv_reference, save_csv_reference
 
 
 def small_dataset():
@@ -157,6 +160,125 @@ def test_save_csv_without_sidecar(tmp_path):
     out = tmp_path / "out.csv"
     save_csv(data, out, sidecar=False)
     assert not (tmp_path / "out.card").exists()
+
+
+def test_load_csv_accepts_int32_max(tmp_path):
+    csv = tmp_path / "d.csv"
+    csv.write_text("x,y\n2147483647,0\n0,1\n")
+    data = load_csv(csv)
+    assert data.columns.tolist() == [[2147483647, 0], [0, 1]]
+    assert data.cardinalities == (2147483648, 2)
+
+
+@pytest.mark.parametrize("cell", ["2147483648", "99999999999", "0" * 12 + "10" * 10])
+def test_load_csv_rejects_cells_beyond_int32(tmp_path, cell):
+    csv = tmp_path / "d.csv"
+    csv.write_text(f"x,y\n0,1\n1, {cell}\n")
+    with pytest.raises(DatasetError, match=f"row 2, column 'y': '{cell}' exceeds"):
+        load_csv(csv)
+
+
+def test_load_csv_rejects_non_ascii_sidecar_digits(tmp_path):
+    csv = tmp_path / "d.csv"
+    csv.write_text("x\n0\n1\n")
+    (tmp_path / "d.card").write_text("\u00b2\n")
+    with pytest.raises(DatasetError, match="line 1: '\u00b2' is not an integer"):
+        load_csv(csv)
+
+
+def test_load_csv_rejects_invalid_utf8(tmp_path):
+    csv = tmp_path / "d.csv"
+    csv.write_bytes(b"x\n\xff\n")
+    with pytest.raises(DatasetError, match="cannot read"):
+        load_csv(csv)
+
+
+# Cells the fuzz test draws from: valid codes with and without padding,
+# and every way a cell can be bad.
+FUZZ_SPACES = ["", " ", "  ", "\t", "\x1f", "\xa0", "\u3000"]
+FUZZ_BAD = ["", " ", "-1", "+1", "1.0", "1_0", "1e3", "a", "\u0661", "\u00b2",
+            "1 2", "1\t2", "1\xa02", "0x1", "2147483648", "99999999999",
+            "00000000000099999999999"]
+FUZZ_GOOD = ["2147483647", "0000000000002147483647", "007", "10", "0"]
+
+
+def fuzz_cell(rng, p_bad):
+    roll = rng.random()
+    if roll < p_bad:
+        return str(rng.choice(FUZZ_BAD))
+    if roll < p_bad + 0.05:
+        cell = str(rng.choice(FUZZ_GOOD))
+    else:
+        cell = str(rng.integers(0, 10 ** int(rng.integers(1, 4))))
+    if rng.random() < 0.1:
+        cell = str(rng.choice(FUZZ_SPACES)) + cell + str(rng.choice(FUZZ_SPACES))
+    return cell
+
+
+def fuzz_file(rng) -> str:
+    """A random dataset file: mostly a few rows, sometimes a few blocks
+    with bad cells and ragged rows rare enough to land in any block."""
+    n_vars = int(rng.integers(1, 5))
+    big = rng.random() < 0.03
+    n_rows = int(rng.integers(_BLOCK_ROWS - 2, 3 * _BLOCK_ROWS) if big
+                 else rng.integers(0, 10))
+    p_bad = float(rng.choice([0.0, 0.02, 0.1]) if not big
+                  else rng.choice([0.5, 1.0, 2.0]) / (n_rows * n_vars))
+    lines = [",".join(f"v{j}" for j in range(n_vars))]
+    for _ in range(n_rows):
+        if rng.random() < 0.05:
+            lines.append(str(rng.choice(["", " ", "\t", "\xa0"])))
+        width = n_vars
+        if rng.random() < p_bad / 2:
+            width = max(1, n_vars + int(rng.choice([-1, 1])))
+        lines.append(",".join(fuzz_cell(rng, p_bad) for _ in range(width)))
+    ends = [str(rng.choice(["\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if rng.random() < 0.8 else text[:-len(ends[-1])]
+
+
+def load_outcome(load, path):
+    try:
+        data = load(path)
+    except DatasetError as exc:
+        return "error", str(exc)
+    except OverflowError:
+        return "overflow", None
+    return "ok", (data.names, data.cardinalities, data.columns.tolist())
+
+
+def test_load_csv_matches_reference_on_fuzzed_files(tmp_path):
+    rng = np.random.Generator(np.random.PCG64(31))
+    path = tmp_path / "f.csv"
+    seen = set()
+    for _ in range(2000):
+        path.write_bytes(fuzz_file(rng).encode("utf-8"))
+        expected = load_outcome(load_csv_reference, path)
+        got = load_outcome(load_csv, path)
+        seen.add(expected[0])
+        if expected[0] == "overflow":
+            assert got[0] == "error" and "exceeds 2**31 - 1" in got[1]
+        else:
+            assert got == expected
+        if got[0] == "error" and int(re.search(r"row (\d+)", got[1])[1]) > _BLOCK_ROWS:
+            seen.add("error past the first block")
+    assert seen == {"ok", "error", "overflow", "error past the first block"}
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS,
+                                    _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7])
+def test_save_csv_matches_reference_and_round_trips(tmp_path, n_rows):
+    rng = np.random.Generator(np.random.PCG64(n_rows))
+    edges = [0, 9, 10, 99, 100, 10**9 - 1, 10**9, 2**31 - 1]
+    cols = rng.integers(0, np.minimum(10 ** rng.integers(1, 11, size=(3, n_rows)), 2**31))
+    cols[:, : len(edges)] = np.array(edges[:n_rows])
+    data = Dataset(("a", "bb", "c"), (2**31,) * 3, cols.astype(np.int32))
+    out = tmp_path / "out.csv"
+    save_csv(data, out)
+    assert out.read_bytes() == save_csv_reference(data)
+    back = load_csv(out)
+    assert back.cardinalities == data.cardinalities
+    assert np.array_equal(back.columns, data.columns)
 
 
 def brute_strata(table, data, x, y, z=()):

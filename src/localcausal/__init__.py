@@ -14,10 +14,10 @@ from .citest import (CiEngine, CiResult, CondSizeExceeded, chi2_sf,
                      g2_statistic)
 from .data import (ContingencyTable, Dataset, DatasetError, contingency,
                    load_csv, save_csv)
-from .localgraph import (ElcsOutcome, ElcsStats, LocalGraph, UNDIRECTED,
+from .localgraph import (ElcsOutcome, LocalGraph, UNDIRECTED,
                          apply_orientations, elcs, meek_closure)
 from .mbdiscovery import (MbResult, OrientationConflict, distinguish_pc,
-                          emb, iamb, recog_spouses, remove_false_pc)
+                          emb, iamb, recog_spouses)
 from .metrics import LocalScore, aggregate, score_local
 from .pcdiscovery import (Sepsets, conditioning_sets, find_separator,
                           recog_pc)
@@ -25,13 +25,13 @@ from .pcdiscovery import (Sepsets, conditioning_sets, find_separator,
 __all__ = [
     "BifParseError", "CiEngine", "CiResult", "CondSizeExceeded",
     "ContingencyTable", "CptNetwork", "CycleError", "Dag", "Dataset",
-    "DatasetError", "ElcsOutcome", "ElcsStats", "LocalGraph", "LocalScore",
+    "DatasetError", "ElcsOutcome", "LocalGraph", "LocalScore",
     "MbResult", "OrientationConflict", "Sepsets", "UNDIRECTED",
     "aggregate", "apply_orientations", "chi2_sf", "contingency",
     "conditioning_sets", "d_separated", "distinguish_pc", "elcs", "emb",
     "find_separator",
     "g2_statistic", "iamb", "load_bif", "load_csv", "meek_closure",
-    "parse_bif", "recog_pc", "recog_spouses", "remove_false_pc", "sample",
+    "parse_bif", "recog_pc", "recog_spouses", "sample",
     "save_csv", "score_local", "topo_order", "true_mb",
 ]
 

@@ -14,7 +14,8 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -67,56 +68,47 @@ class RunConfig:
             raise UsageError("sizes must be positive")
 
 
-def _engine(data: Dataset, config: RunConfig) -> CiEngine:
-    return CiEngine.g2(data, alpha=config.alpha,
-                       reliability_k=config.reliability_k,
-                       max_cond_size=config.max_cond)
-
-
-def _learn_one(data: Dataset, target: int, config: RunConfig) -> dict:
-    """Run the configured algorithm once; report uses variable names."""
-    engine = _engine(data, config)
+def _learn_one(data: Dataset, target: int, config: RunConfig
+               ) -> tuple[dict, tuple[set[int], set[int], set[int]]]:
+    """Run the configured algorithm once on a fresh engine; returns the
+    report, which uses variable names, and the (parents, children,
+    undecided) index sets it was built from."""
+    engine = CiEngine.g2(data, alpha=config.alpha,
+                         reliability_k=config.reliability_k,
+                         max_cond_size=config.max_cond)
     start = time.perf_counter()
-    if config.algo in ("elcs", "elcs2"):
-        outcome = elcs(engine, target, rank_spouses=config.algo == "elcs2",
-                       n_structures=config.n_structures)
-        parents, children, undecided = (outcome.parents, outcome.children,
-                                        outcome.undecided)
-        spouses = set()
-        if outcome.target_result is not None:
-            for sp in outcome.target_result.spouses.values():
-                spouses |= sp
-        time_ms = outcome.stats.time_ms
-        termination = outcome.stats.termination
+    if config.algo == "iamb":
+        out = iamb(engine, target)
     elif config.algo == "emb":
-        result = emb(engine, target, n_structures=config.n_structures)
-        parents, children, undecided = (result.parents, result.children,
-                                        result.undecided)
-        spouses = set()
-        for sp in result.spouses.values():
-            spouses |= sp
-        time_ms = (time.perf_counter() - start) * 1000.0
-        termination = "single-mb"
-    else:  # iamb: an unoriented blanket
-        mb = iamb(engine, target)
-        parents, children, undecided = set(), set(), mb
-        spouses = set()
-        time_ms = (time.perf_counter() - start) * 1000.0
-        termination = "single-mb"
+        out = emb(engine, target, n_structures=config.n_structures)
+    else:
+        out = elcs(engine, target, rank_spouses=config.algo == "elcs2",
+                   n_structures=config.n_structures)
+    time_ms = (time.perf_counter() - start) * 1000.0
+    expanded = config.algo in ("elcs", "elcs2")
+    if config.algo == "iamb":  # an unoriented blanket
+        sets, spouses = (set(), set(), out), set()
+    else:
+        blanket = out.target_result if expanded else out
+        sets = (out.parents, out.children, out.undecided)
+        spouses = blanket.mb - blanket.pc
     names = data.names
-    return {
+    parents, children, undecided = (sorted(names[v] for v in s) for s in sets)
+    report = {
         "schema": SCHEMA_VERSION,
         "algo": config.algo,
         "target": names[target],
-        "parents": sorted(names[v] for v in parents),
-        "children": sorted(names[v] for v in children),
-        "undirected": sorted(names[v] for v in undecided),
+        "parents": parents,
+        "children": children,
+        "undirected": undecided,
         "spouses": sorted(names[v] for v in spouses),
         "ci_tests": engine.test_count,
         "time_ms": time_ms,
-        "termination": termination,
-        "_sets": (parents, children, undecided),
+        "mbs_learned": out.mbs_learned if expanded else 1,
+        "conflicts": len(out.graph.conflicts) if expanded else 0,
+        "termination": out.termination if expanded else "single-mb",
     }
+    return report, sets
 
 
 def cmd_sample(bif: Path, n: int, seed: int, out: Path) -> int:
@@ -131,8 +123,7 @@ def cmd_sample(bif: Path, n: int, seed: int, out: Path) -> int:
 def cmd_learn(data_path: Path, target_name: str, config: RunConfig) -> int:
     data = load_csv(data_path)
     target = data.index_of(target_name)
-    report = _learn_one(data, target, config)
-    report.pop("_sets")
+    report, _ = _learn_one(data, target, config)
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if config.out is not None:
@@ -142,8 +133,7 @@ def cmd_learn(data_path: Path, target_name: str, config: RunConfig) -> int:
 
 def _bench_target(data: Dataset, net: CptNetwork, target: int,
                   config: RunConfig) -> LocalScore:
-    report = _learn_one(data, target, config)
-    parents, children, undecided = report["_sets"]
+    report, (parents, children, undecided) = _learn_one(data, target, config)
     return score_local(parents, children, undecided, net.dag, target,
                        ci_tests=report["ci_tests"],
                        time_ms=report["time_ms"])
@@ -190,8 +180,8 @@ def cmd_benchmark(bif: Path, config: RunConfig) -> int:
             for run in range(config.runs):
                 run_seed = config.seed + run
                 data = sample(net, size, run_seed)
-                scores = list(mapper(_bench_star,
-                                     [(data, net, t, config) for t in targets]))
+                scores = list(mapper(_bench_target, repeat(data), repeat(net),
+                                     targets, repeat(config)))
                 mean = {k: v["mean"] for k, v in aggregate(scores).items()}
                 run_means.append(LocalScore(**mean))
                 size_block["runs"].append({
@@ -212,10 +202,6 @@ def cmd_benchmark(bif: Path, config: RunConfig) -> int:
     else:
         print(text)
     return 0
-
-
-def _bench_star(args):
-    return _bench_target(*args)
 
 
 def _print_table(report: dict) -> None:

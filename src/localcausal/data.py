@@ -57,9 +57,6 @@ class Dataset:
     def n_rows(self) -> int:
         return self.columns.shape[1]
 
-    def column(self, i: int) -> np.ndarray:
-        return self.columns[i]
-
     def index_of(self, name: str) -> int:
         try:
             return self.names.index(name)
@@ -83,11 +80,6 @@ class ContingencyTable:
     counts: np.ndarray = field(repr=False)
     n: int
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        rx, ry, s = self.counts.shape
-        return rx, ry, s
-
 
 def _card_path(path: Path) -> Path:
     return path.with_suffix(".card")
@@ -102,8 +94,9 @@ def load_csv(path: str | Path, cardinalities=None) -> Dataset:
     """Load a dataset from a header+integer-codes CSV file.
 
     The file is UTF-8, comma separated, first line is the header; lines
-    end in ``\\n`` or ``\\r\\n``, blank lines are skipped, and a cell is
-    ASCII digits with optional whitespace around them, at most 2**31 - 1.
+    end in ``\\n``, ``\\r\\n`` or ``\\r`` and at no other character, blank
+    lines are skipped, and a cell is ASCII digits with optional whitespace
+    around them, at most 2**31 - 1.
     If a ``.card`` sidecar file exists next to ``path`` (one integer per
     line, header order) it fixes the cardinalities; otherwise they are
     inferred as ``max code + 1`` per column (floored at 2 so the type
@@ -111,9 +104,11 @@ def load_csv(path: str | Path, cardinalities=None) -> Dataset:
     """
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = path.read_text(encoding="utf-8").split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
+    if not lines[-1]:
+        lines.pop()  # the empty string after the last line end
     if not lines:
         raise DatasetError(f"{path}: empty file, expected a header row")
     names = tuple(cell.strip() for cell in lines[0].split(","))
@@ -186,7 +181,7 @@ def _parse_block(lines: list[str], rownums, names, path) -> np.ndarray:
 
 
 def _load_cards(path: Path, n_vars: int) -> tuple[int, ...]:
-    entries = [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines()]
+    entries = [ln.strip() for ln in path.read_text(encoding="utf-8").split("\n")]
     entries = [e for e in entries if e]
     if len(entries) != n_vars:
         raise DatasetError(

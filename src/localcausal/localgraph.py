@@ -10,10 +10,9 @@ target is directed, the queue drains, or everything has been visited.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .citest import CiEngine
 from .mbdiscovery import MbResult, emb
@@ -195,21 +194,14 @@ def meek_closure(graph: LocalGraph) -> LocalGraph:
 
 
 @dataclass
-class ElcsStats:
-    ci_tests: int
-    time_ms: float
-    mbs_learned: int
-    termination: str
-
-
-@dataclass
 class ElcsOutcome:
     """Final local structure around the target.
 
     ``parents``/``children``/``undecided`` are read back from the graph
     marks after propagation, so an orientation earned by a later blanket
     or by a Meek rule counts. ``target_result`` is the blanket learned
-    for the target itself (spouses live there).
+    for the target itself (spouses live there); ``mbs_learned`` counts
+    the blankets learned and ``termination`` says why the walk stopped.
     """
 
     target: int
@@ -217,8 +209,9 @@ class ElcsOutcome:
     children: set[int]
     undecided: set[int]
     graph: LocalGraph
-    stats: ElcsStats
-    target_result: Optional[MbResult] = field(default=None, repr=False)
+    mbs_learned: int
+    termination: str
+    target_result: MbResult = field(repr=False)
 
 
 RESOLVED = "resolved"
@@ -236,12 +229,8 @@ def elcs(engine: CiEngine, target: int, rank_spouses: bool = False,
     edge left, when the queue empties, or when every variable has been
     visited, whichever comes first.
     """
-    start = time.perf_counter()
-    start_count = engine.test_count
     graph = LocalGraph(engine.n_vars)
     queue: deque[int] = deque([target])
-    target_result: Optional[MbResult] = None
-    mbs = 0
     termination = QUEUE_EXHAUSTED
     while queue:
         x = queue.popleft()
@@ -249,8 +238,7 @@ def elcs(engine: CiEngine, target: int, rank_spouses: bool = False,
             graph.visited.add(x)
             result = emb(engine, x, rank_spouses=rank_spouses,
                          n_structures=n_structures)
-            mbs += 1
-            if x == target:
+            if x == target:  # always the first pop
                 target_result = result
             apply_orientations(graph, x, result)
             for y in sorted(result.undecided):
@@ -267,12 +255,7 @@ def elcs(engine: CiEngine, target: int, rank_spouses: bool = False,
             termination = ALL_VISITED
             break
     parents, children, undecided = graph.partition(target)
-    stats = ElcsStats(
-        ci_tests=engine.test_count - start_count,
-        time_ms=(time.perf_counter() - start) * 1000.0,
-        mbs_learned=mbs,
-        termination=termination,
-    )
     return ElcsOutcome(target=target, parents=parents, children=children,
-                       undecided=undecided, graph=graph, stats=stats,
+                       undecided=undecided, graph=graph,
+                       mbs_learned=len(graph.visited), termination=termination,
                        target_result=target_result)

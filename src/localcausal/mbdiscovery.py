@@ -5,7 +5,7 @@ The pipeline (``emb``) runs four stages:
 1. parents-and-children search (:func:`recog_pc`),
 2. spouse recognition against each PC member (:func:`recog_spouses`),
 3. removal of false PC members using the spouses found for them
-   (:func:`remove_false_pc`),
+   (:func:`_remove_false_pc`),
 4. orientation of the surviving members (:func:`distinguish_pc`).
 
 Stages 2 and 3 repeat until the PC set stops shrinking, because a
@@ -133,9 +133,18 @@ def recog_spouses(engine: CiEngine, target: int, pc: set[int],
 def _remove_false_pc(engine: CiEngine, target: int, pc: set[int],
                      spouses: SpouseMap
                      ) -> tuple[set[int], SpouseMap, Sepsets]:
-    """Like :func:`remove_false_pc` but also returns the separating set
-    found for each removed member, so the caller can treat it like any
-    other separated variable afterwards."""
+    """Drop PC members separable from the target once their own spouses
+    join the conditioning pool; their spouse sets are cleared. Returns
+    (pc, spouses, sepsets), the last holding the separating set found
+    for each removed member, so the caller can treat it like any other
+    separated variable afterwards.
+
+    Every member is checked against the full incoming pool, not a pool
+    that shrinks as members fall: a false member's separating set may
+    itself contain another false member (for instance two descendants
+    reached through a common true member), and dropping one early would
+    make the other unremovable.
+    """
     pc = set(pc)
     spouses = {y: set(v) for y, v in spouses.items()}
     found: dict[int, frozenset[int]] = {}
@@ -147,21 +156,6 @@ def _remove_false_pc(engine: CiEngine, target: int, pc: set[int],
     pc -= found.keys()
     spouses = {y: v for y, v in spouses.items() if y in pc and v}
     return pc, spouses, found
-
-
-def remove_false_pc(engine: CiEngine, target: int, pc: set[int],
-                    spouses: SpouseMap) -> tuple[set[int], SpouseMap]:
-    """Drop PC members separable from the target once their own spouses
-    join the conditioning pool; their spouse sets are cleared.
-
-    Every member is checked against the full incoming pool, not a pool
-    that shrinks as members fall: a false member's separating set may
-    itself contain another false member (for instance two descendants
-    reached through a common true member), and dropping one early would
-    make the other unremovable.
-    """
-    out_pc, out_sp, _ = _remove_false_pc(engine, target, pc, spouses)
-    return out_pc, out_sp
 
 
 def distinguish_pc(engine: CiEngine, target: int, pc: set[int],

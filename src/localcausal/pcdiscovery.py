@@ -21,13 +21,14 @@ from .citest import CiEngine
 Sepsets = dict[int, frozenset[int]]
 
 
-def conditioning_sets(pool: Iterable[int], limit: Optional[int] = None,
-                      min_size: int = 1) -> Iterator[tuple[int, ...]]:
-    """Subsets of ``pool`` in ascending cardinality, lexicographic within
-    a cardinality (pool sorted by index). ``limit`` caps the size."""
+def conditioning_sets(pool: Iterable[int], limit: Optional[int] = None
+                      ) -> Iterator[tuple[int, ...]]:
+    """Non-empty subsets of ``pool`` in ascending cardinality,
+    lexicographic within a cardinality (pool sorted by index). ``limit``
+    caps the size."""
     pool = sorted(pool)
     top = len(pool) if limit is None else min(limit, len(pool))
-    for k in range(min_size, top + 1):
+    for k in range(1, top + 1):
         yield from combinations(pool, k)
 
 

@@ -97,10 +97,12 @@ def test_criterion_4_n_structure_ablation():
     with_n, without_n = [], []
     for seed in range(10):
         data = sample(net, 5000, seed=seed)
-        a = elcs(CiEngine(data=data, alpha=0.01), t)
-        b = elcs(CiEngine(data=data, alpha=0.01), t, n_structures=False)
-        with_n.append(a.stats.ci_tests)
-        without_n.append(b.stats.ci_tests)
+        a = CiEngine(data=data, alpha=0.01)
+        b = CiEngine(data=data, alpha=0.01)
+        elcs(a, t)
+        elcs(b, t, n_structures=False)
+        with_n.append(a.test_count)
+        without_n.append(b.test_count)
     mean_with = sum(with_n) / len(with_n)
     mean_without = sum(without_n) / len(without_n)
     assert mean_with <= mean_without

@@ -175,12 +175,12 @@ def test_sample_matches_cpts_empirically(trace_net):
     c = dag.index_of("C")
     e = dag.index_of("E")
     # root marginal
-    p_c1 = data.column(c).mean()
+    p_c1 = data.columns[c].mean()
     assert p_c1 == pytest.approx(0.45, abs=0.01)
     # conditional row: P(E=1 | C=0) = 0.25, P(E=1 | C=1) = 0.75
-    mask0 = data.column(c) == 0
-    assert data.column(e)[mask0].mean() == pytest.approx(0.25, abs=0.015)
-    assert data.column(e)[~mask0].mean() == pytest.approx(0.75, abs=0.015)
+    mask0 = data.columns[c] == 0
+    assert data.columns[e][mask0].mean() == pytest.approx(0.25, abs=0.015)
+    assert data.columns[e][~mask0].mean() == pytest.approx(0.75, abs=0.015)
 
 
 def test_sample_random_networks_round_trip():
@@ -192,7 +192,7 @@ def test_sample_random_networks_round_trip():
         assert data.n_vars == dag.n_vars
         assert data.n_rows == 50
         for v in range(dag.n_vars):
-            assert data.column(v).max() < net.cardinalities[v]
+            assert data.columns[v].max() < net.cardinalities[v]
 
 
 @pytest.mark.parametrize("network", ["trace", "alarm", "child10"])

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from localcausal import CiEngine, elcs, emb, iamb, load_bif, sample, save_csv
 from localcausal.assets import asset_path
-from localcausal.cli import main
+from localcausal.cli import ALGOS, main
 
 
 TRACE = str(asset_path("trace"))
@@ -67,7 +68,8 @@ def test_learn_report_shape(sampled, capsys):
     assert report["algo"] == "elcs"
     assert report["target"] == "T"
     for key in ("parents", "children", "undirected", "spouses",
-                "ci_tests", "time_ms", "termination"):
+                "ci_tests", "time_ms", "mbs_learned", "conflicts",
+                "termination"):
         assert key in report
     # names are reported sorted, and the JSON itself has sorted keys
     assert report["parents"] == sorted(report["parents"])
@@ -105,6 +107,48 @@ def test_learn_emb_single_blanket(sampled, capsys):
                  "--algo", "emb", "--no-n-structures"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["termination"] == "single-mb"
+
+
+@pytest.fixture(scope="module")
+def alarm_sample(tmp_path_factory):
+    data = sample(load_bif(asset_path("alarm")), 2000, seed=1)
+    out = tmp_path_factory.mktemp("alarm") / "alarm.csv"
+    save_csv(data, out)
+    return data, out
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+@pytest.mark.parametrize("target", ["HR", "TPR"])
+def test_learn_report_matches_python_api(alarm_sample, capsys, algo, target):
+    # every algorithm's roles, test count and run summary come straight
+    # from the learner's own result on a fresh engine; on this sample HR
+    # resolves and TPR exhausts its queue, both with spouses
+    data, path = alarm_sample
+    assert main(["learn", str(path), "--target", target,
+                 "--algo", algo]) == 0
+    report = json.loads(capsys.readouterr().out)
+    engine = CiEngine.g2(data)
+    t = data.index_of(target)
+    mbs, conflicts, termination = 1, 0, "single-mb"
+    if algo == "iamb":
+        roles, spouses = (set(), set(), iamb(engine, t)), set()
+    elif algo == "emb":
+        out = emb(engine, t)
+        roles = (out.parents, out.children, out.undecided)
+        spouses = out.mb - out.pc
+    else:
+        out = elcs(engine, t, rank_spouses=algo == "elcs2")
+        roles = (out.parents, out.children, out.undecided)
+        spouses = out.target_result.mb - out.target_result.pc
+        mbs, termination = out.mbs_learned, out.termination
+        conflicts = len(out.graph.conflicts)
+    names = [sorted(data.names[v] for v in s) for s in (*roles, spouses)]
+    assert [report[k] for k in ("parents", "children", "undirected",
+                                "spouses")] == names
+    assert report["ci_tests"] == engine.test_count
+    assert report["termination"] == termination
+    assert report["mbs_learned"] == mbs
+    assert report["conflicts"] == conflicts
 
 
 def test_learn_usage_errors(sampled, capsys):

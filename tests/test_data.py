@@ -26,7 +26,7 @@ def test_dataset_basic_properties():
     assert data.n_vars == 3
     assert data.n_rows == 6
     assert data.index_of("c") == 2
-    assert list(data.column(1)) == [1, 1, 0, 0, 1, 0]
+    assert list(data.columns[1]) == [1, 1, 0, 0, 1, 0]
     with pytest.raises(DatasetError):
         data.index_of("nope")
 
@@ -193,6 +193,28 @@ def test_load_csv_rejects_invalid_utf8(tmp_path):
         load_csv(csv)
 
 
+# Characters str.splitlines breaks at besides \n and \r.
+NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", NOT_LINE_ENDS)
+def test_load_csv_ends_rows_only_at_newlines(tmp_path, sep):
+    csv = tmp_path / "d.csv"
+    csv.write_text(f"x\n0{sep}1\n5\n", encoding="utf-8")
+    with pytest.raises(DatasetError, match="row 1, column 'x'"):
+        load_csv(csv)
+    csv.write_text("x,y\n0,1\n", encoding="utf-8")
+    csv.with_suffix(".card").write_text(f"2{sep}3\n", encoding="utf-8")
+    with pytest.raises(DatasetError, match="1 cardinalities for 2 variables"):
+        load_csv(csv)
+
+
+def test_load_csv_ends_rows_at_crlf_and_lone_cr(tmp_path):
+    csv = tmp_path / "d.csv"
+    csv.write_bytes(b"x\r\n0\r1\n")
+    assert list(load_csv(csv).columns[0]) == [0, 1]
+
+
 # Cells the fuzz test draws from: valid codes with and without padding,
 # and every way a cell can be bad.
 FUZZ_SPACES = ["", " ", "  ", "\t", "\x1f", "\xa0", "\u3000"]
@@ -286,7 +308,7 @@ def brute_strata(table, data, x, y, z=()):
     in sorted-key order, and return the observed keys in that order."""
     brute = contingency_brute(data.columns, data.cardinalities, x, y, tuple(z))
     keys = sorted(brute)
-    assert table.dims == (data.cardinalities[x], data.cardinalities[y], len(keys))
+    assert table.counts.shape == (data.cardinalities[x], data.cardinalities[y], len(keys))
     for s, key in enumerate(keys):
         assert np.array_equal(table.counts[:, :, s], brute[key])
     return keys
@@ -295,7 +317,7 @@ def brute_strata(table, data, x, y, z=()):
 def test_contingency_unconditional():
     data = small_dataset()
     table = contingency(data, 0, 1)
-    assert table.dims == (2, 2, 1)
+    assert table.counts.shape == (2, 2, 1)
     assert brute_strata(table, data, 0, 1) == [()]
     assert table.n == 6
     # rows of (a, b): (0,1) (1,1) (0,0) (1,0) (1,1) (0,0)
@@ -317,7 +339,7 @@ def test_contingency_skips_unobserved_strata():
     data = Dataset(("a", "b", "c"), (2, 2, 3), cols)
     table = contingency(data, 0, 1, (2,))
     assert brute_strata(table, data, 0, 1, (2,)) == [(2,)]
-    assert table.dims == (2, 2, 1)
+    assert table.counts.shape == (2, 2, 1)
 
 
 def test_contingency_rejects_overlap():

@@ -11,9 +11,9 @@ from localcausal import (
     iamb,
     recog_pc,
     recog_spouses,
-    remove_false_pc,
     true_mb,
 )
+from localcausal.mbdiscovery import _remove_false_pc
 
 from oracles import random_dag
 
@@ -70,31 +70,35 @@ def test_recog_spouses_chain_empty():
 def test_remove_false_pc_trace(trace_stages):
     dag, eng, t, pc, sepsets = trace_stages
     sp, _ = recog_spouses(eng, t, pc, sepsets)
-    pc2, sp2 = remove_false_pc(eng, t, pc, sp)
+    pc2, sp2, found = _remove_false_pc(eng, t, pc, sp)
     assert by_name(dag, pc2) == {"A", "B", "E", "J", "K", "L"}
     assert spouse_names(dag, sp2) == {"A": {"C"}, "K": {"D"}}
+    # I leaves once its spouse D joins the pool; the set that separated
+    # it is returned for the next spouse scan
+    assert spouse_names(dag, found) == {"I": {"D", "K"}}
 
 
 def test_remove_false_pc_keeps_true_members(trace_stages):
     dag, eng, t, pc, sepsets = trace_stages
     sp, _ = recog_spouses(eng, t, pc, sepsets)
-    pc2, sp2 = remove_false_pc(eng, t, pc, sp)
+    pc2, sp2, _ = _remove_false_pc(eng, t, pc, sp)
     # a second pass over an already clean set is a no-op
-    pc3, sp3 = remove_false_pc(eng, t, pc2, sp2)
+    pc3, sp3, found = _remove_false_pc(eng, t, pc2, sp2)
     assert pc3 == pc2
     assert sp3 == sp2
+    assert found == {}
 
 
 def test_remove_false_pc_empty():
     dag = Dag.from_edges("ab", [("a", "b")])
     eng = CiEngine.oracle(dag)
-    assert remove_false_pc(eng, 0, set(), {}) == (set(), {})
+    assert _remove_false_pc(eng, 0, set(), {}) == (set(), {}, {})
 
 
 def test_distinguish_trace(trace_stages):
     dag, eng, t, pc, sepsets = trace_stages
     sp, csp = recog_spouses(eng, t, pc, sepsets)
-    pc2, sp2 = remove_false_pc(eng, t, pc, sp)
+    pc2, sp2, _ = _remove_false_pc(eng, t, pc, sp)
     p, c, un = distinguish_pc(eng, t, pc2, sp2, csp)
     assert by_name(dag, p) == {"E", "J"}
     assert by_name(dag, c) == {"A", "B", "K", "L"}
@@ -106,7 +110,7 @@ def test_distinguish_trace_without_n_structures(trace_stages):
     # that rule it stays undecided while everything else is unchanged
     dag, eng, t, pc, sepsets = trace_stages
     sp, csp = recog_spouses(eng, t, pc, sepsets)
-    pc2, sp2 = remove_false_pc(eng, t, pc, sp)
+    pc2, sp2, _ = _remove_false_pc(eng, t, pc, sp)
     p, c, un = distinguish_pc(eng, t, pc2, sp2, csp, n_structures=False)
     assert by_name(dag, p) == {"E", "J"}
     assert by_name(dag, c) == {"A", "K", "L"}

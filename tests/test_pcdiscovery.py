@@ -22,7 +22,6 @@ def test_conditioning_sets_order():
 def test_conditioning_sets_limits():
     assert list(conditioning_sets([1, 2], limit=0)) == []
     assert list(conditioning_sets([], limit=None)) == []
-    assert list(conditioning_sets([5], min_size=0)) == [(), (5,)]
 
 
 def test_find_separator_chain():

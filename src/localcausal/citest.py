@@ -3,14 +3,15 @@
 Two interchangeable backends sit behind :class:`CiEngine`: a G²
 likelihood-ratio test on discrete data, and a d-separation oracle over a
 known DAG. Learners only ever talk to the engine, so swapping data for
-ground truth (or capping the conditioning size) never touches algorithm
-code. The engine counts every query; reported test counts in benchmarks
-are exactly this counter. Beneath the counter each engine memoises its
-results, so a repeated query costs a lookup but still counts as a test.
+ground truth never touches algorithm code. The engine answers and counts
+every query; reported test counts in benchmarks are exactly this
+counter. Beneath the counter each engine memoises its results, so a
+repeated query costs a lookup but still counts as a test.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -21,22 +22,16 @@ from .bnet import Dag, d_separated
 from .data import ContingencyTable, Dataset, contingency
 
 
-class CondSizeExceeded(ValueError):
-    """Conditioning set larger than the engine's budget.
-
-    Callers treat this as "no separating set exists at this size" rather
-    than as an independence verdict.
-    """
-
-
 @dataclass(frozen=True)
 class CiResult:
     """Outcome of one conditional independence query.
 
     ``independent`` is the verdict actually used by learners. For the
     data backend it equals ``p_value > alpha`` whenever ``reliable`` is
-    true; unreliable tests are forced to dependent so that sparse strata
-    never delete structure.
+    true. ``reliable=False`` is the one "no evidence" answer (fewer than
+    ``reliability_k`` rows per dof, or dof 0 unless ``reliability_k`` is
+    0); such tests are forced to dependent so that sparse strata never
+    delete structure.
     """
 
     independent: bool
@@ -87,6 +82,8 @@ class CiEngine:
     ``(min(x, y), max(x, y), sorted z)`` is computed once, in that order,
     and stored for the life of the engine, so (x, y, z) and (y, x, z)
     give the same result. The store belongs to this engine alone.
+    ``max_cond_size`` caps only the learners' separator search
+    (:func:`~localcausal.pcdiscovery.find_separator`).
     """
 
     def __init__(self, *, data: Optional[Dataset] = None, dag: Optional[Dag] = None,
@@ -96,8 +93,8 @@ class CiEngine:
             raise ValueError("exactly one of data or dag is required")
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        if reliability_k < 0:
-            raise ValueError("reliability_k must be nonnegative")
+        if not (math.isfinite(reliability_k) and reliability_k >= 0):
+            raise ValueError("reliability_k must be finite and nonnegative")
         self._data = data
         self._dag = dag
         self.alpha = alpha
@@ -135,11 +132,6 @@ class CiEngine:
             raise ValueError("variable index out of range")
         if x == y or x in z or y in z:
             raise ValueError("x, y and z must be distinct")
-        if self.max_cond_size is not None and len(z) > self.max_cond_size:
-            raise CondSizeExceeded(
-                f"conditioning set of size {len(z)} exceeds budget "
-                f"{self.max_cond_size}"
-            )
         return z
 
     def ci_test(self, x: int, y: int, z: Iterable[int] = ()) -> CiResult:
@@ -158,15 +150,8 @@ class CiEngine:
                             p_value=1.0 if indep else 0.0, dof=0, reliable=True)
         table = contingency(self._data, x, y, z)
         stat, dof = g2_statistic(table)
-        if dof == 0:
-            # No informative stratum: the sample cannot speak to this
-            # query, so fall back on the conservative-dependent rule
-            # unless the reliability heuristic is disabled.
-            disabled = self.reliability_k == 0
-            return CiResult(independent=disabled, statistic=stat, p_value=1.0,
-                            dof=0, reliable=disabled)
-        p = chi2_sf(stat, dof)
-        reliable = table.n >= self.reliability_k * dof
-        indep = (p > self.alpha) if reliable else False
-        return CiResult(independent=indep, statistic=stat, p_value=p,
-                        dof=dof, reliable=reliable)
+        p = chi2_sf(stat, dof) if dof else 1.0
+        reliable = ((dof > 0 or self.reliability_k == 0)
+                    and table.n >= self.reliability_k * dof)
+        return CiResult(independent=reliable and p > self.alpha,
+                        statistic=stat, p_value=p, dof=dof, reliable=reliable)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +25,7 @@ from .bnet import CptNetwork, sample
 from .citest import CiEngine
 from .data import Dataset, DatasetError, load_csv, save_csv
 from .localgraph import elcs
-from .mbdiscovery import OrientationConflict, emb, iamb
+from .mbdiscovery import emb, iamb
 from .metrics import LocalScore, aggregate, score_local
 
 SCHEMA_VERSION = 1
@@ -56,10 +57,12 @@ class RunConfig:
             raise UsageError(f"unknown algo {self.algo!r}")
         if not 0.0 < self.alpha < 1.0:
             raise UsageError("alpha must be in (0, 1)")
-        if self.reliability_k < 0:
-            raise UsageError("reliability-k must be nonnegative")
+        if not (math.isfinite(self.reliability_k) and self.reliability_k >= 0):
+            raise UsageError("reliability-k must be finite and nonnegative")
         if self.max_cond is not None and self.max_cond < 0:
             raise UsageError("max-cond must be nonnegative")
+        if self.seed < 0:
+            raise UsageError("seed must be nonnegative")
         if self.runs < 1:
             raise UsageError("runs must be at least 1")
         if self.workers < 1:
@@ -239,7 +242,8 @@ def _build_parser() -> _ArgumentParser:
                        help="rows-per-dof threshold below which a test is "
                             "unreliable (0 disables)")
         p.add_argument("--max-cond", type=int, default=None,
-                       help="largest conditioning set the engine accepts")
+                       help="largest separating set the learners search "
+                            "(does not affect iamb)")
         p.add_argument("--algo", choices=ALGOS, default="elcs")
         p.add_argument("--no-n-structures", action="store_true",
                        help="disable the N-structure child rule")
@@ -281,6 +285,8 @@ def run(argv: Sequence[str]) -> int:
     if args.command == "sample":
         if args.n < 1:
             raise UsageError("--n must be at least 1")
+        if args.seed < 0:
+            raise UsageError("--seed must be nonnegative")
         return cmd_sample(args.bif, args.n, args.seed, args.out)
 
     config = RunConfig(
@@ -315,15 +321,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DatasetError, BifParseError) as exc:
+    except (DatasetError, BifParseError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except OrientationConflict as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
     except Exception as exc:  # anything else is an invariant failure
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

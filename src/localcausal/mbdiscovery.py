@@ -24,22 +24,11 @@ reverse pattern pins down extra children.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .citest import CiEngine
 from .pcdiscovery import Sepsets, find_separator, recog_pc
 
 SpouseMap = dict[int, set[int]]
-
-
-class OrientationConflict(RuntimeError):
-    """A variable qualified as both parent and child of the target."""
-
-    def __init__(self, target: int, overlap: Iterable[int]):
-        self.target = target
-        self.overlap = sorted(overlap)
-        super().__init__(
-            f"variables {self.overlap} oriented both ways around {target}")
 
 
 @dataclass
@@ -194,9 +183,6 @@ def distinguish_pc(engine: CiEngine, target: int, pc: set[int],
                 if engine.ci_test(x, y, (target,)).independent:
                     children.add(x)
                     break
-
-    if parents & children:
-        raise OrientationConflict(target, parents & children)
     return parents, children, pc - parents - children
 
 
@@ -239,7 +225,8 @@ def iamb(engine: CiEngine, target: int) -> set[int]:
     Grow adds the variable with the strongest association given the
     current blanket while that association is significant; shrink then
     removes members that the rest of the blanket separates. Ties break
-    on the lower index, so runs are reproducible.
+    on the lower index, so runs are reproducible. Grow skips unreliable
+    tests: in near-empty strata nearly every candidate looks dependent.
     """
     mb: list[int] = []
     while True:
@@ -248,7 +235,7 @@ def iamb(engine: CiEngine, target: int) -> set[int]:
             if x == target or x in mb:
                 continue
             r = engine.ci_test(target, x, mb)
-            if r.independent:
+            if r.independent or not r.reliable:
                 continue
             key = (-r.statistic, x)
             if best_key is None or key < best_key:

@@ -38,9 +38,9 @@ def find_separator(engine: CiEngine, a: int, b: int,
 
     Enumeration starts at single-element sets: callers only reach this
     search for pairs already known dependent unconditionally, so the
-    empty set is never a witness. The engine's conditioning budget caps
-    the enumeration; hitting the cap simply means no separator was found
-    at a permitted size.
+    empty set is never a witness. ``engine.max_cond_size`` caps the
+    enumeration, and this search is the only place the cap applies:
+    hitting it simply means no separator was found at a permitted size.
     """
     for z in conditioning_sets(pool, engine.max_cond_size):
         if engine.ci_test(a, b, z).independent:

@@ -46,6 +46,12 @@ def test_sample_rejects_zero_rows(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_sample_rejects_negative_seed(tmp_path, capsys):
+    args, _ = sample_args(tmp_path, seed=-1)
+    assert main(args) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_sample_missing_network(tmp_path, capsys):
     assert main(["sample", str(tmp_path / "nope.bif"), "--n", "10",
                  "--out", str(tmp_path / "d.csv")]) == 2
@@ -151,13 +157,21 @@ def test_learn_report_matches_python_api(alarm_sample, capsys, algo, target):
     assert report["conflicts"] == conflicts
 
 
+def test_learn_under_budget(alarm_sample, capsys):
+    _, path = alarm_sample
+    assert main(["learn", str(path), "--target", "CATECHOL",
+                 "--max-cond", "2"]) == 0
+    capsys.readouterr()
+
+
 def test_learn_usage_errors(sampled, capsys):
     assert main(["learn", str(sampled), "--target", "T",
                  "--algo", "magic"]) == 1
     assert main(["learn", str(sampled), "--target", "T",
                  "--alpha", "0"]) == 1
-    assert main(["learn", str(sampled), "--target", "T",
-                 "--reliability-k", "-1"]) == 1
+    for k in ("-1", "nan", "inf"):
+        assert main(["learn", str(sampled), "--target", "T",
+                     "--reliability-k", k]) == 1
     assert main([]) == 1
     capsys.readouterr()
 
@@ -264,4 +278,6 @@ def test_benchmark_usage_errors(tmp_path, capsys):
     assert main(["benchmark", TRACE, "--sizes", "100",
                  "--runs", "0"]) == 1
     assert main(["benchmark", TRACE, "--sizes", "0"]) == 1
+    assert main(["benchmark", TRACE, "--sizes", "100",
+                 "--seed", "-1"]) == 1
     capsys.readouterr()

@@ -5,12 +5,12 @@ from localcausal import (
     CiEngine,
     Dag,
     MbResult,
-    OrientationConflict,
     distinguish_pc,
     emb,
     iamb,
     recog_pc,
     recog_spouses,
+    sample,
     true_mb,
 )
 from localcausal.mbdiscovery import _remove_false_pc
@@ -134,14 +134,6 @@ def test_distinguish_chain_all_undecided():
     p, c, un = distinguish_pc(eng, t, {0, 2}, {}, {})
     assert (p, c) == (set(), set())
     assert un == {0, 2}
-
-
-def test_orientation_conflict_attributes():
-    exc = OrientationConflict(5, [3, 1])
-    assert exc.target == 5
-    assert exc.overlap == [1, 3]
-    assert "both ways" in str(exc) and "5" in str(exc)
-    assert isinstance(exc, RuntimeError)
 
 
 def test_emb_trace(trace_net):
@@ -308,3 +300,14 @@ def test_iamb_matches_true_mb_on_random_dags():
         dag = random_dag(rng)
         for t in range(dag.n_vars):
             assert iamb(CiEngine.oracle(dag), t) == true_mb(dag, t).mb
+
+
+def test_iamb_grow_skips_tests_without_evidence(alarm_net):
+    # On this sample CATECHOL's conditioning set soon splits 2000 rows
+    # into strata of about one row, where most tests have dof 0. Taken
+    # as dependent, those tests grow the blanket to all 36 other
+    # variables; the true blanket has 5 members.
+    data = sample(alarm_net, 2000, seed=1)
+    t = data.index_of("CATECHOL")
+    assert len(true_mb(alarm_net.dag, t).mb) == 5
+    assert len(iamb(CiEngine.g2(data), t)) <= 10

@@ -6,7 +6,10 @@ known DAG. Learners only ever talk to the engine, so swapping data for
 ground truth never touches algorithm code. The engine answers and counts
 every query; reported test counts in benchmarks are exactly this
 counter. Beneath the counter each engine memoises its results, so a
-repeated query costs a lookup but still counts as a test.
+repeated query costs a lookup but still counts as a test. An
+unconditional data query that misses the store computes its first
+variable against every other variable in one pass (a row fill), bit for
+bit as the per-pair path would.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from scipy.special import gammaincc
 
 from .bnet import Dag, d_separated
 from .data import ContingencyTable, Dataset, contingency
+
+_ROW_CELLS = 1 << 22  # codes per row-fill bincount: bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -59,19 +64,27 @@ def g2_statistic(table: ContingencyTable) -> tuple[float, int]:
     stratum as (nonzero rows - 1) * (nonzero columns - 1), floored at 0,
     so strata with empty rows or columns do not inflate the p-value.
     """
-    counts = table.counts
-    if counts.size == 0 or table.n == 0:
-        return 0.0, 0
-    c = counts.astype(np.float64)
-    row = c.sum(axis=1, keepdims=True)        # N_i.k
-    col = c.sum(axis=0, keepdims=True)        # N_.jk
-    tot = row.sum(axis=0, keepdims=True)      # N_..k
+    stat, dof = _g2(table.counts[None])
+    return float(stat[0]), int(dof[0])
+
+
+def _g2(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G² and dof of each table in a (G, rx, ry, n_strata) stack.
+
+    Each table's terms are summed as one contiguous row, the same
+    pairwise order as a flat sum over that table alone, so a table gives
+    the same bits whatever stack it sits in.
+    """
+    c = np.ascontiguousarray(counts, dtype=np.float64)
+    row = c.sum(axis=2, keepdims=True)        # N_i.k
+    col = c.sum(axis=1, keepdims=True)        # N_.jk
+    tot = row.sum(axis=1, keepdims=True)      # N_..k
     ratio = np.divide(c * tot, row * col, out=np.ones_like(c), where=c > 0)
-    stat = 2.0 * float((c * np.log(ratio)).sum())
-    nz_rows = (row[:, 0] > 0).sum(axis=0)
-    nz_cols = (col[0] > 0).sum(axis=0)
-    dof = int(np.maximum(nz_rows - 1, 0) @ np.maximum(nz_cols - 1, 0))
-    return max(stat, 0.0), dof
+    stat = 2.0 * (c * np.log(ratio)).reshape(len(c), -1).sum(axis=1)
+    nz_rows = (row[:, :, 0] > 0).sum(axis=1)
+    nz_cols = (col[:, 0] > 0).sum(axis=1)
+    dof = (np.maximum(nz_rows - 1, 0) * np.maximum(nz_cols - 1, 0)).sum(axis=1)
+    return np.maximum(stat, 0.0), dof
 
 
 class CiEngine:
@@ -81,9 +94,11 @@ class CiEngine:
     DAG). Queries are symmetric and deterministic: each distinct
     ``(min(x, y), max(x, y), sorted z)`` is computed once, in that order,
     and stored for the life of the engine, so (x, y, z) and (y, x, z)
-    give the same result. The store belongs to this engine alone.
-    ``max_cond_size`` caps only the learners' separator search
-    (:func:`~localcausal.pcdiscovery.find_separator`).
+    give the same result. The store belongs to this engine alone. On
+    data, an unconditional query that misses the store fills its first
+    variable's whole row (see :meth:`ci_test`); every other miss is
+    computed alone. ``max_cond_size`` caps only the learners' separator
+    search (:func:`~localcausal.pcdiscovery.find_separator`).
     """
 
     def __init__(self, *, data: Optional[Dataset] = None, dag: Optional[Dag] = None,
@@ -95,8 +110,12 @@ class CiEngine:
             raise ValueError("alpha must be in (0, 1)")
         if not (math.isfinite(reliability_k) and reliability_k >= 0):
             raise ValueError("reliability_k must be finite and nonnegative")
+        if max_cond_size is not None and not (isinstance(max_cond_size, int)
+                                              and max_cond_size >= 0):
+            raise ValueError("max_cond_size must be None or an int >= 0")
         self._data = data
         self._dag = dag
+        self._n_vars = (data if dag is None else dag).n_vars
         self.alpha = alpha
         self.reliability_k = reliability_k
         self.max_cond_size = max_cond_size
@@ -119,29 +138,37 @@ class CiEngine:
 
     @property
     def n_vars(self) -> int:
-        return self._dag.n_vars if self._dag is not None else self._data.n_vars
+        return self._n_vars
 
     @property
     def test_count(self) -> int:
         return self._count
 
-    def _check(self, x: int, y: int, z: tuple[int, ...]) -> tuple[int, ...]:
-        z = tuple(sorted(set(z)))
-        n = self.n_vars
-        if not (0 <= x < n and 0 <= y < n) or any(not 0 <= v < n for v in z):
+    def ci_test(self, x: int, y: int, z: Iterable[int] = ()) -> CiResult:
+        """Test x against y given z. Every call increments the counter,
+        repeats included; only a query not seen before is computed.
+
+        On data, a miss with empty z computes x against every other
+        variable in one pass and stores each pair it has not stored yet.
+        Ask unconditional queries with the variable being scanned first,
+        so that one row answers the whole scan.
+        """
+        z = tuple(sorted(set(z))) if type(z) is not tuple or z else ()
+        n = self._n_vars
+        if not (0 <= x < n and 0 <= y < n) or (z and (z[0] < 0 or z[-1] >= n)):
             raise ValueError("variable index out of range")
         if x == y or x in z or y in z:
             raise ValueError("x, y and z must be distinct")
-        return z
-
-    def ci_test(self, x: int, y: int, z: Iterable[int] = ()) -> CiResult:
-        """Test x against y given z. Every call increments the counter,
-        repeats included; only a query not seen before is computed."""
-        key = (min(x, y), max(x, y), self._check(x, y, tuple(z)))
+        key = (x, y, z) if x < y else (y, x, z)
         self._count += 1
-        if key not in self._results:
-            self._results[key] = self._compute(*key)
-        return self._results[key]
+        result = self._results.get(key)
+        if result is None:
+            if z or self._dag is not None:
+                result = self._results[key] = self._compute(*key)
+            else:
+                self._fill_row(x)
+                result = self._results[key]
+        return result
 
     def _compute(self, x: int, y: int, z: tuple[int, ...]) -> CiResult:
         if self._dag is not None:
@@ -150,8 +177,35 @@ class CiEngine:
                             p_value=1.0 if indep else 0.0, dof=0, reliable=True)
         table = contingency(self._data, x, y, z)
         stat, dof = g2_statistic(table)
-        p = chi2_sf(stat, dof) if dof else 1.0
-        reliable = ((dof > 0 or self.reliability_k == 0)
-                    and table.n >= self.reliability_k * dof)
+        return self._verdict(stat, dof, chi2_sf(stat, dof) if dof else 1.0, table.n)
+
+    def _verdict(self, stat: float, dof: int, p: float, n: int) -> CiResult:
+        reliable = (dof > 0 or self.reliability_k == 0) and n >= self.reliability_k * dof
         return CiResult(independent=reliable and p > self.alpha,
                         statistic=stat, p_value=p, dof=dof, reliable=reliable)
+
+    def _fill_row(self, x: int) -> None:
+        """Store x against every other variable at level 0. Partners that
+        share a cardinality and a side of x are counted by one bincount,
+        at most ``_ROW_CELLS`` codes at a time, and each table is laid out
+        as ``(min, max)`` before its G² so that it matches the per-pair
+        path bit for bit."""
+        cols, cards = self._data.columns, self._data.cardinalities
+        rx, n = cards[x], cols.shape[1]
+        groups: dict[tuple[int, bool], list[int]] = {}
+        for u in range(self._n_vars):
+            if u != x:
+                groups.setdefault((cards[u], u < x), []).append(u)
+        step = max(1, _ROW_CELLS // max(n, 1))
+        for (r, before), members in groups.items():
+            for i in range(0, len(members), step):
+                us = members[i:i + step]
+                flat = cols[us] + np.arange(0, len(us) * rx * r, rx * r)[:, None]
+                flat += cols[x].astype(np.int64) * r
+                counts = np.bincount(flat.ravel(), minlength=len(us) * rx * r)
+                counts = counts.reshape(len(us), rx, r, 1)
+                stat, dof = _g2(counts.transpose(0, 2, 1, 3) if before else counts)
+                p = np.where(dof > 0, gammaincc(np.maximum(dof, 1) / 2.0, stat / 2.0), 1.0)
+                for u, s, d, q in zip(us, stat.tolist(), dof.tolist(), p.tolist()):
+                    key = (u, x, ()) if before else (x, u, ())
+                    self._results.setdefault(key, self._verdict(s, d, q, n))

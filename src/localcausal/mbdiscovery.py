@@ -95,7 +95,7 @@ def recog_spouses(engine: CiEngine, target: int, pc: set[int],
             continue
         temp = []
         for y in sorted(pc):
-            r = engine.ci_test(x, y, ())
+            r = engine.ci_test(y, x, ())  # y's row answers the whole scan
             if not r.independent:
                 temp.append(y)
                 strength[(x, y)] = r.statistic

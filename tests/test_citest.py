@@ -10,9 +10,12 @@ from localcausal import (
     Dataset,
     chi2_sf,
     contingency,
+    emb,
     g2_statistic,
+    load_bif,
     sample,
 )
+from localcausal.assets import asset_path
 from localcausal.data import ContingencyTable
 
 from oracles import chi2_sf_numeric, contingency_brute, g2_brute
@@ -129,6 +132,13 @@ def test_engine_validates_parameters():
     for k in (-1, math.nan, math.inf):
         with pytest.raises(ValueError):
             CiEngine.g2(data, reliability_k=k)
+    for size in (-1, 1.5, "2"):
+        with pytest.raises(ValueError):
+            CiEngine.g2(data, max_cond_size=size)
+        with pytest.raises(ValueError):
+            CiEngine.oracle(chain_dag(), max_cond_size=size)
+    for size in (None, 0, 3):
+        assert CiEngine.g2(data, max_cond_size=size).max_cond_size == size
 
 
 def test_oracle_engine_chain():
@@ -170,6 +180,10 @@ def test_engine_rejects_bad_indexes():
         eng.ci_test(0, 5)
     with pytest.raises(ValueError):
         eng.ci_test(0, 1, (7,))
+    with pytest.raises(ValueError):
+        eng.ci_test(-1, 1)
+    with pytest.raises(ValueError):
+        eng.ci_test(0, 1, (-1,))
 
 
 def test_engine_conditioning_budget():
@@ -289,17 +303,43 @@ def canonical(x, y, z):
 
 
 def counting(monkeypatch):
-    """Count the calls that reach the data and oracle backends."""
+    """Record the work that reaches the backends: ("pair", x, y, z) for
+    a key computed alone, ("row", x) for a level-0 row fill."""
     calls = []
     for name in ("contingency", "d_separated"):
         original = getattr(localcausal.citest, name)
 
         def wrapper(*args, _original=original):
-            calls.append(args[1:])
+            calls.append(("pair", *args[1:3], tuple(args[3])))
             return _original(*args)
 
         monkeypatch.setattr(localcausal.citest, name, wrapper)
+    fill_row = CiEngine._fill_row
+
+    def row(engine, x):
+        calls.append(("row", x))
+        return fill_row(engine, x)
+
+    monkeypatch.setattr(CiEngine, "_fill_row", row)
     return calls
+
+
+def expected_work(engine, stream):
+    """The backend work a fresh engine owes ``stream``: each level-0 miss
+    on data fills its first argument's row, each other miss computes its
+    key alone, and a key already stored costs nothing."""
+    stored, work = set(), []
+    for x, y, z in stream:
+        key = canonical(x, y, z)
+        if key in stored:
+            continue
+        if key[2] or engine.is_oracle:
+            work.append(("pair", *key))
+            stored.add(key)
+        else:
+            work.append(("row", x))
+            stored |= {canonical(x, u, ()) for u in range(engine.n_vars) if u != x}
+    return work
 
 
 def test_engine_store_answers_like_fresh_engines(alarm_net):
@@ -325,9 +365,12 @@ def test_engine_computes_each_canonical_key_once(alarm_net, monkeypatch):
         engine = make()
         for x, y, z in stream:
             engine.ci_test(x, y, z)
-        keys = {canonical(*q) for q in stream}
-        assert len(calls) == len(keys)
-        assert {(x, y, tuple(z)) for x, y, z in calls} == keys
+        assert calls == expected_work(engine, stream)
+        pairs = [c[1:] for c in calls if c[0] == "pair"]
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == {canonical(*q) for q in stream
+                              if q[2] or engine.is_oracle}
+        assert any(c[0] == "row" for c in calls) != engine.is_oracle
 
 
 def test_engines_share_no_results(alarm_net, monkeypatch):
@@ -339,8 +382,71 @@ def test_engines_share_no_results(alarm_net, monkeypatch):
         calls.clear()
         for x, y, z in stream:
             second.ci_test(x, y, z)
-        assert len(calls) == len({canonical(*q) for q in stream})
+        assert calls == expected_work(second, stream)
         assert second.test_count == len(stream)
+
+
+def row_kernel_datasets(alarm_net):
+    """(dataset, reliability_k) pairs: bundled-network samples and
+    degenerate data (no rows, one row, a constant column, sparse strata
+    with empty rows and columns)."""
+    nets = [(alarm_net, 2000), (load_bif(asset_path("child10")), 300),
+            (load_bif(asset_path("insurance")), 1000)]
+    out = [(sample(net, n, 4), 5.0) for net, n in nets]
+    rng = np.random.Generator(np.random.PCG64(12))
+    cols = rng.integers(0, 2, size=(5, 30)).astype(np.int32)
+    cols[2] = 0                      # constant column
+    cols[4] = 3 * (cols[4] == 1)     # codes 0 and 3 only: empty rows
+    cards = (2, 3, 3, 2, 4)
+    names = tuple("abcde")
+    for n in (0, 1, 6, 30):
+        for k in (5.0, 0.0):
+            out.append((Dataset(names, cards, cols[:, :n].copy()), k))
+    return out
+
+
+@pytest.mark.parametrize("cells", [localcausal.citest._ROW_CELLS, 1])
+def test_row_fill_matches_per_pair_computation(alarm_net, monkeypatch, cells):
+    # cells=1 counts one partner per bincount
+    monkeypatch.setattr(localcausal.citest, "_ROW_CELLS", cells)
+    for data, k in row_kernel_datasets(alarm_net):
+        n = data.n_vars
+        for x in sorted({0, n // 3, n - 1}):
+            engine = CiEngine.g2(data, reliability_k=k)
+            engine.ci_test(x, (x + 1) % n)
+            for u in range(n):
+                if u != x:   # u < x and u > x: both table orientations
+                    key = (min(x, u), max(x, u), ())
+                    assert engine.ci_test(u, x) == engine._compute(*key)
+        if data.n_rows == 0:
+            r = CiEngine.g2(data, reliability_k=k).ci_test(0, 1)
+            assert (r.statistic, r.dof, r.p_value) == (0.0, 0, 1.0)
+
+
+def test_level0_queries_ask_the_scanned_variable_first(monkeypatch):
+    # the learners put the scanned variable first, so a row fill answers
+    # a whole scan; asking the other way round fills a row per partner
+    net = load_bif(asset_path("child10"))
+    data = sample(net, 1000, 1)
+    asked, fills = set(), []
+    ci_test, fill_row = CiEngine.ci_test, CiEngine._fill_row
+
+    def spy_test(engine, x, y, z=()):
+        if not z:
+            asked.add((id(engine), min(x, y), max(x, y)))
+        return ci_test(engine, x, y, z)
+
+    def spy_fill(engine, x):
+        fills.append(engine.n_vars - 1)
+        return fill_row(engine, x)
+
+    monkeypatch.setattr(CiEngine, "ci_test", spy_test)
+    monkeypatch.setattr(CiEngine, "_fill_row", spy_fill)
+    engines = []   # kept alive, so that no two share an id
+    for target in range(0, net.dag.n_vars, 20):
+        engines.append(CiEngine.g2(data))
+        emb(engines[-1], target)
+    assert sum(fills) <= 1.25 * len(asked)
 
 
 def test_engine_is_symmetric_in_x_and_y(alarm_net):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import index
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -59,6 +60,18 @@ class Dag:
                 ch[p].add(i)
         return tuple(frozenset(c) for c in ch)
 
+    @cached_property
+    def bitsets(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """Parents, children and ancestors-or-self of each variable, as
+        int bitsets (bit ``v`` stands for variable ``v``)."""
+        anc = [0] * self.n_vars
+        for v in topo_order(self):
+            anc[v] = 1 << v
+            for p in self.parents[v]:
+                anc[v] |= anc[p]
+        return (tuple(sum(1 << p for p in ps) for ps in self.parents),
+                tuple(sum(1 << c for c in cs) for cs in self.children), tuple(anc))
+
     @property
     def n_edges(self) -> int:
         return sum(len(p) for p in self.parents)
@@ -111,45 +124,50 @@ def topo_order(dag: Dag) -> list[int]:
 def d_separated(dag: Dag, x: int, y: int, z: Iterable[int] = ()) -> bool:
     """True when x and y are d-separated by z.
 
-    Linear-time ball-passing reachability: a trail is extended through a
-    non-collider only when the node is outside z, and through a collider
-    only when the node or one of its descendants is in z.
+    Bayes-ball reachability (Shachter, UAI 1998) over the int bitsets of
+    :attr:`Dag.bitsets`, one whole frontier per step; Python ints have no
+    width limit. A trail passes a non-collider only outside z, and a
+    collider only when the node or one of its descendants is in z. Raises
+    ValueError for an index outside ``range(dag.n_vars)`` and when x, y
+    and z overlap.
     """
-    z = frozenset(z)
+    z = frozenset(map(index, z))  # as Python ints: NumPy's would wrap past 64 bits
+    x, y, n = index(x), index(y), dag.n_vars
+    if not (0 <= x < n and 0 <= y < n) or (z and (min(z) < 0 or max(z) >= n)):
+        raise ValueError("variable index out of range")
     if x == y or x in z or y in z:
         raise ValueError("x, y and z must be distinct")
-    # z together with its ancestors: exactly the colliders that are open.
-    open_colliders = set()
-    stack = list(z)
-    while stack:
-        v = stack.pop()
-        if v not in open_colliders:
-            open_colliders.add(v)
-            stack.extend(dag.parents[v])
-    # States are (node, direction): "up" means the trail leaves v toward
-    # its parents' side (arrived from a child or at the start), "down"
-    # means the trail arrived from a parent.
-    seen = set()
-    stack = [(x, True)]
-    while stack:
-        v, up = stack.pop()
-        if (v, up) in seen:
-            continue
-        seen.add((v, up))
-        if v == y:
+    parents, children, ancestors = dag.bitsets
+    blocked = opened = 0  # z, and the colliders it opens: z and its ancestors
+    for v in z:
+        blocked |= 1 << v
+        opened |= ancestors[v]
+    # up: reached from a child, or the start; down: reached from a parent.
+    up = new_up = 1 << x
+    down = new_down = 0
+    while new_up or new_down:
+        to_up = to_down = 0
+        frontier = new_up & ~blocked  # on to parents (up) and children (down)
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            to_up |= parents[bit.bit_length() - 1]
+            to_down |= children[bit.bit_length() - 1]
+        frontier = new_down & ~blocked  # on to children (down)
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            to_down |= children[bit.bit_length() - 1]
+        frontier = new_down & opened  # through an open collider to parents (up)
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            to_up |= parents[bit.bit_length() - 1]
+        new_up, new_down = to_up & ~up, to_down & ~down
+        if (new_up | new_down) >> y & 1:
             return False
-        if up and v not in z:
-            for p in dag.parents[v]:
-                stack.append((p, True))
-            for c in dag.children[v]:
-                stack.append((c, False))
-        elif not up:
-            if v not in z:
-                for c in dag.children[v]:
-                    stack.append((c, False))
-            if v in open_colliders:
-                for p in dag.parents[v]:
-                    stack.append((p, True))
+        up |= new_up
+        down |= new_down
     return True
 
 

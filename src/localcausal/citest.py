@@ -46,6 +46,11 @@ class CiResult:
     reliable: bool
 
 
+# The oracle's two answers, shared by every engine and key.
+_SEPARATED = CiResult(True, 0.0, 1.0, 0, True)
+_CONNECTED = CiResult(False, 1.0, 0.0, 0, True)
+
+
 def chi2_sf(x: float, dof: int) -> float:
     """Chi-square survival function, the regularized upper incomplete
     gamma Q(dof/2, x/2)."""
@@ -97,7 +102,8 @@ class CiEngine:
     give the same result. The store belongs to this engine alone. On
     data, an unconditional query that misses the store fills its first
     variable's whole row (see :meth:`ci_test`); every other miss is
-    computed alone. ``max_cond_size`` caps only the learners' separator
+    computed alone. An oracle miss stores one of two shared results, one
+    per verdict. ``max_cond_size`` caps only the learners' separator
     search (:func:`~localcausal.pcdiscovery.find_separator`).
     """
 
@@ -163,7 +169,10 @@ class CiEngine:
         self._count += 1
         result = self._results.get(key)
         if result is None:
-            if z or self._dag is not None:
+            if self._dag is not None:
+                result = self._results[key] = (
+                    _SEPARATED if d_separated(self._dag, *key) else _CONNECTED)
+            elif z:
                 result = self._results[key] = self._compute(*key)
             else:
                 self._fill_row(x)
@@ -171,10 +180,6 @@ class CiEngine:
         return result
 
     def _compute(self, x: int, y: int, z: tuple[int, ...]) -> CiResult:
-        if self._dag is not None:
-            indep = d_separated(self._dag, x, y, z)
-            return CiResult(independent=indep, statistic=0.0 if indep else 1.0,
-                            p_value=1.0 if indep else 0.0, dof=0, reliable=True)
         table = contingency(self._data, x, y, z)
         stat, dof = g2_statistic(table)
         return self._verdict(stat, dof, chi2_sf(stat, dof) if dof else 1.0, table.n)

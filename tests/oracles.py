@@ -111,6 +111,37 @@ def d_separated_paths(dag: Dag, x: int, y: int, z) -> bool:
     return True
 
 
+def d_separated_moral(dag: Dag, x: int, y: int, z) -> bool:
+    """d-separation decided on the moralised ancestral graph (Lauritzen
+    et al., Networks 1990): keep x, y, z and their ancestors, marry the
+    parents of every kept node, drop directions, delete z, and ask
+    whether x still reaches y."""
+    z = frozenset(z)
+    keep = {x, y} | set(z)
+    stack = list(keep)
+    while stack:
+        for p in dag.parents[stack.pop()]:
+            if p not in keep:
+                keep.add(p)
+                stack.append(p)
+    adj: dict[int, set[int]] = {v: set() for v in keep}
+    for v in keep:
+        for p in dag.parents[v]:
+            adj[v].add(p)
+            adj[p].add(v)
+        for p, q in itertools.combinations(dag.parents[v], 2):
+            adj[p].add(q)
+            adj[q].add(p)
+    seen = {x}
+    stack = [x]
+    while stack:
+        for u in adj[stack.pop()]:
+            if u not in seen and u not in z:
+                seen.add(u)
+                stack.append(u)
+    return y not in seen
+
+
 def random_dag(rng: np.random.Generator, max_nodes: int = 10,
                p: float = 0.3) -> Dag:
     """Random DAG: random order, each forward pair is an edge with prob p."""
@@ -122,6 +153,22 @@ def random_dag(rng: np.random.Generator, max_nodes: int = 10,
             if rng.random() < p:
                 parents[order[j]].add(int(order[i]))
     names = tuple(f"v{i}" for i in range(n))
+    return Dag(names, tuple(frozenset(s) for s in parents))
+
+
+def random_dag_fixed_edges(rng: np.random.Generator, n: int,
+                           mean_degree: float = 2.0) -> Dag:
+    """Random order and exactly ``round(mean_degree * n / 2)`` edges drawn
+    uniformly from the forward pairs: the model of perfbench's
+    ``random_dag``."""
+    order = rng.permutation(n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    parents = [set() for _ in range(n)]
+    for k in rng.choice(len(pairs), size=round(mean_degree * n / 2),
+                        replace=False):
+        i, j = pairs[k]
+        parents[order[j]].add(int(order[i]))
+    names = tuple(f"V{i}" for i in range(n))
     return Dag(names, tuple(frozenset(s) for s in parents))
 
 

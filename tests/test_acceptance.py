@@ -35,7 +35,8 @@ from localcausal import (
 from localcausal.assets import NAMES, asset_path
 from localcausal.cli import main as cli_main
 
-from oracles import chi2_sf_numeric, g2_brute, random_dag
+from oracles import (chi2_sf_numeric, g2_brute, random_dag,
+                     random_dag_fixed_edges)
 
 
 def dag_suite(n_dags=200, seed=20260814):
@@ -76,6 +77,31 @@ def test_criterion_2_oracle_orientation_soundness():
                     wrong += 1
     assert wrong == 0
     print(f"\n[criterion 2] PASS - {checked} directed edges, 0 wrong")
+
+
+def test_oracle_exactness_on_20_and_30_node_dags():
+    # fixed-edge random DAGs at mean degree 2, seeds fixed in advance:
+    # every target's blanket exact and no wrong arrow, under a time bound
+    start = time.monotonic()
+    inexact, wrong, checked = [], 0, 0
+    for nodes, seeds in ((20, range(10)), (30, range(5))):
+        for seed in seeds:
+            rng = np.random.Generator(np.random.PCG64(seed))
+            dag = random_dag_fixed_edges(rng, nodes, 2.0)
+            true_edges = set(dag.edges())
+            for t in range(nodes):
+                out = elcs(CiEngine.oracle(dag), t)
+                truth = true_mb(dag, t)
+                if (out.target_result.pc != truth.pc
+                        or out.target_result.mb != truth.mb):
+                    inexact.append((nodes, seed, t))
+                wrong += len(set(out.graph.directed_edges()) - true_edges)
+                checked += 1
+    elapsed = time.monotonic() - start
+    assert inexact == [] and wrong == 0
+    assert elapsed < 60.0
+    print(f"\n[oracle 20/30 nodes] PASS - {checked} targets exact, 0 wrong "
+          f"arrows in {elapsed:.1f}s")
 
 
 def test_criterion_3_trace_walkthrough():

@@ -13,7 +13,14 @@ from localcausal import (
 )
 from localcausal.assets import asset_path
 
-from oracles import d_separated_paths, random_dag, random_network, sample_reference
+from oracles import (
+    d_separated_moral,
+    d_separated_paths,
+    random_dag,
+    random_dag_fixed_edges,
+    random_network,
+    sample_reference,
+)
 
 
 def diamond():
@@ -86,6 +93,13 @@ def test_d_separation_rejects_overlap():
         d_separated(dag, 0, 0)
     with pytest.raises(ValueError):
         d_separated(dag, 0, 1, (0,))
+    # every index must name a variable: no silent answer, no aliasing of
+    # a negative index onto the end of the graph
+    chain = Dag.from_edges("abc", [("a", "b"), ("b", "c")])
+    for args in [(0, 7), (7, 0), (0, 3), (-3, 2), (2, -1), (0, 2, (-2,)),
+                 (0, 2, (3,)), (0, 2, (1, 9))]:
+        with pytest.raises(ValueError, match="out of range"):
+            d_separated(chain, *args)
 
 
 def test_d_separation_trace_facts(trace_net):
@@ -117,6 +131,55 @@ def test_d_separation_matches_path_enumeration():
             got = d_separated(dag, int(x), int(y), z)
             want = d_separated_paths(dag, int(x), int(y), z)
             assert got == want
+
+
+def test_moral_graph_reference_matches_path_enumeration():
+    rng = np.random.Generator(np.random.PCG64(22))
+    answers = []
+    for _ in range(100):
+        dag = random_dag(rng)
+        n = dag.n_vars
+        for _ in range(10):
+            x, y = (int(v) for v in rng.choice(n, size=2, replace=False))
+            pool = [v for v in range(n) if v not in (x, y)]
+            size = int(rng.integers(0, min(4, len(pool)) + 1))
+            z = tuple(int(v) for v in rng.choice(pool, size=size, replace=False))
+            answers.append(d_separated_moral(dag, x, y, z))
+            assert answers[-1] == d_separated_paths(dag, x, y, z)
+    assert 0.1 < sum(answers) / len(answers) < 0.9
+
+
+def large_dags():
+    """The bundled alarm, insurance and child10 DAGs, then seeded random
+    DAGs of 65-150 nodes: bitsets past one 64-bit word."""
+    dags = [load_bif(asset_path(name)).dag
+            for name in ("alarm", "insurance", "child10")]
+    rng = np.random.Generator(np.random.PCG64(8))
+    for degree in (2.0, 2.0, 3.0, 3.0, 4.0, 4.0):
+        dags.append(random_dag_fixed_edges(rng, int(rng.integers(65, 151)),
+                                           degree))
+    return dags
+
+
+def test_d_separation_matches_moral_graph_on_large_dags():
+    rng = np.random.Generator(np.random.PCG64(9))
+    for dag in large_dags():
+        n = dag.n_vars
+        answers = []
+        for _ in range(1000):
+            x, y = (int(v) for v in rng.choice(n, size=2, replace=False))
+            # draw z mostly near x and y, where it can block or open trails
+            near = (dag.parents[x] | dag.children[x] | dag.parents[y]
+                    | dag.children[y] | set(rng.choice(n, size=8))) - {x, y}
+            pool = sorted(near)
+            size = int(rng.integers(0, min(8, len(pool)) + 1))
+            z = tuple(int(v) for v in rng.choice(pool, size=size, replace=False))
+            answers.append(d_separated(dag, x, y, z))
+            assert answers[-1] == d_separated_moral(dag, x, y, z), (n, x, y, z)
+            # NumPy integers index the same variables
+            assert d_separated(dag, np.int64(x), np.int64(y),
+                               np.array(z, dtype=np.int64)) == answers[-1]
+        assert 0 < sum(answers) < len(answers)
 
 
 def test_true_mb_trace(trace_net):

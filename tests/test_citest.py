@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -152,6 +153,24 @@ def test_oracle_engine_chain():
     assert r.independent
     assert r.statistic == 0.0 and r.p_value == 1.0
     assert eng.test_count == 2
+
+
+def test_oracle_results_are_two_pinned_values():
+    # both verdicts on the chain a -> b -> c and on the collider
+    # a -> b <- c whose descendant d opens it
+    collider = Dag.from_edges("abcd", [("a", "b"), ("c", "b"), ("b", "d")])
+    pinned = {False: (False, 1.0, 0.0, 0, True), True: (True, 0.0, 1.0, 0, True)}
+    for dag, queries in [(chain_dag(), [((0, 2, ()), False), ((0, 2, (1,)), True)]),
+                         (collider, [((0, 2, ()), True), ((0, 2, (3,)), False)])]:
+        eng = CiEngine.oracle(dag)
+        for (x, y, z), separated in queries:
+            r = eng.ci_test(x, y, z)
+            fields = tuple(getattr(r, f.name) for f in dataclasses.fields(r))
+            assert fields == pinned[separated]
+            assert [type(v) for v in fields] == [bool, float, float, int, bool]
+            assert eng.ci_test(y, x, z) is r
+            assert eng.ci_test(x, y, tuple(reversed(z))) is r
+            assert eng.ci_test(x, y, z) is r
 
 
 def test_oracle_assoc_is_binary():

@@ -4,14 +4,29 @@ Supported: ``network`` blocks, ``variable`` blocks declaring
 ``type discrete [ k ] { states }``, and ``probability`` blocks whose
 rows are either ``table p0, ...;`` (parentless variables) or
 ``( state, ... ) p0, ...;`` keyed by parent states in header order.
-``//`` and ``/* */`` comments are ignored. Everything else (continuous
-variables in particular) is rejected with a line/column diagnostic.
+Everything else (continuous variables in particular) is rejected with a
+line/column diagnostic.
+
+Tokens, with spaces, tabs, line breaks, ``//`` line comments and
+``/* */`` block comments skipped between them:
+
+- punct: one of ``{ } [ ] ( ) | , ; =``;
+- string: ``"`` up to the next ``"``, line breaks included, no escapes;
+- number: a digit, or ``+``, ``-`` or ``.`` before a digit, then digits,
+  ``.``, ``e`` and ``E``, with ``+`` or ``-`` only right after ``e``/``E``
+  (``1e-5`` is one number, ``0.5-0.2`` is two);
+- word: a letter or ``_``, then letters, digits, ``_``, ``.`` and ``-``.
+
+A digit is a Unicode decimal digit (``\\d``), and a letter is any other
+word character (``\\w``), so ``²`` and ``½`` start words. An unterminated
+string or block comment, or any other character, is an error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,107 +42,89 @@ class BifParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
+def _error(text: str, pos: int, message: str) -> BifParseError:
+    return BifParseError(message, text.count("\n", 0, pos) + 1,
+                         pos - text.rfind("\n", 0, pos))
+
+
+class _Token(NamedTuple):
     kind: str  # "word", "number", "punct", "string", "eof"
     text: str
-    line: int
-    col: int
+    pos: int  # offset into the text
 
 
-_PUNCT = set("{}[]()|,;=")
+_TOKEN = re.compile(r"""
+      [ \t\r\n]+ | //[^\n]* | /\*.*?\*/
+    | (?P<punct>[{}\[\]()|,;=])
+    | "(?P<string>[^"]*)"
+    | (?P<number>[+\-.]?\d(?:[\d.eE]|(?<=[eE])[+\-])*)
+    | (?P<word>[^\W\d][\w.\-]*)
+    | (?P<open>/\*|")
+    | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def advance(k: int):
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
-        elif text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                advance(1)
-        elif text.startswith("/*", i):
-            start_line, start_col = line, col
-            advance(2)
-            while i < n and not text.startswith("*/", i):
-                advance(1)
-            if i >= n:
-                raise BifParseError("unterminated comment", start_line, start_col)
-            advance(2)
-        elif ch in _PUNCT:
-            tokens.append(_Token("punct", ch, line, col))
-            advance(1)
-        elif ch == '"':
-            start_line, start_col = line, col
-            advance(1)
-            begin = i
-            while i < n and text[i] != '"':
-                advance(1)
-            if i >= n:
-                raise BifParseError("unterminated string", start_line, start_col)
-            tokens.append(_Token("string", text[begin:i], start_line, start_col))
-            advance(1)
-        elif ch.isdigit() or (ch in "+-." and i + 1 < n and text[i + 1].isdigit()):
-            start_line, start_col = line, col
-            begin = i
-            advance(1)
-            while i < n and (text[i].isdigit() or text[i] in ".eE+-"):
-                # Stop before a sign that does not follow an exponent.
-                if text[i] in "+-" and text[i - 1] not in "eE":
-                    break
-                advance(1)
-            tokens.append(_Token("number", text[begin:i], start_line, start_col))
-        elif ch.isalpha() or ch == "_":
-            start_line, start_col = line, col
-            begin = i
-            while i < n and (text[i].isalnum() or text[i] in "_.-"):
-                advance(1)
-            tokens.append(_Token("word", text[begin:i], start_line, start_col))
-        else:
-            raise BifParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "open":
+            what = "comment" if m[0] == "/*" else "string"
+            raise _error(text, m.start(), f"unterminated {what}")
+        if kind == "bad":
+            raise _error(text, m.start(), f"unexpected character {m[0]!r}")
+        if kind is not None:
+            tokens.append(_Token(kind, m[kind], m.start()))
+    tokens.append(_Token("eof", "", len(text)))
     return tokens
+
+
+_NAME_KINDS = ("word", "string")
+_STATE_KINDS = ("word", "number", "string")
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
-        self.pos = 0
+        self.i = 0
 
     def peek(self) -> _Token:
-        return self.tokens[self.pos]
+        return self.tokens[self.i]
 
     def next(self) -> _Token:
-        tok = self.tokens[self.pos]
+        tok = self.tokens[self.i]
         if tok.kind != "eof":
-            self.pos += 1
+            self.i += 1
         return tok
 
     def fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        raise BifParseError(message, tok.line, tok.col)
+        raise _error(self.text, (tok or self.peek()).pos, message)
 
     def expect(self, kind: str, text: str | None = None) -> _Token:
         tok = self.next()
         if tok.kind != kind or (text is not None and tok.text != text):
             want = text if text is not None else kind
-            raise BifParseError(f"expected {want!r}, found {tok.text!r}",
-                                tok.line, tok.col)
+            self.fail(f"expected {want!r}, found {tok.text!r}", tok)
         return tok
+
+    def items(self, kinds, noun, close, where, trailing=False):
+        """Read ``item, item, ... close``, yielding each item before the
+        separator after it is read, so a caller's check on an item fails
+        before a later syntax error does."""
+        while True:
+            tok = self.next()
+            if tok.kind not in kinds:
+                self.fail(f"expected a {noun}", tok)
+            yield tok
+            sep = self.next()
+            if sep.text == close:
+                return
+            if sep.text != ",":
+                self.fail(f"expected ',' or {close!r} {where}", sep)
+            if trailing and self.peek().text == close:
+                self.next()
+                return
 
     def skip_statement(self):
         # Consume a property-style statement up to and including ';'.
@@ -181,7 +178,7 @@ class _Parser:
 
     def parse_variable(self) -> tuple[str, list[str]]:
         name_tok = self.next()
-        if name_tok.kind not in ("word", "string"):
+        if name_tok.kind not in _NAME_KINDS:
             self.fail("expected a variable name", name_tok)
         self.expect("punct", "{")
         values: list[str] | None = None
@@ -198,20 +195,9 @@ class _Parser:
                 count_tok = self.expect("number")
                 self.expect("punct", "]")
                 self.expect("punct", "{")
-                vals = []
-                while True:
-                    v = self.next()
-                    if v.kind not in ("word", "number", "string"):
-                        self.fail("expected a state name", v)
-                    vals.append(v.text)
-                    sep = self.next()
-                    if sep.text == "}":
-                        break
-                    if sep.text != ",":
-                        self.fail("expected ',' or '}' in state list", sep)
-                    if self.peek().text == "}":  # tolerate trailing comma
-                        self.next()
-                        break
+                vals = [v.text for v in self.items(
+                    _STATE_KINDS, "state name", "}", "in state list",
+                    trailing=True)]
                 self.expect("punct", ";")
                 try:
                     declared = int(count_tok.text)
@@ -220,6 +206,8 @@ class _Parser:
                 if declared != len(vals):
                     self.fail(f"declared {declared} states but listed {len(vals)}",
                               count_tok)
+                if declared < 2:
+                    self.fail("a variable needs at least 2 states", count_tok)
                 if len(set(vals)) != len(vals):
                     self.fail("duplicate state name", count_tok)
                 values = vals
@@ -236,27 +224,20 @@ class _Parser:
     def parse_probability(self, states) -> tuple[_Token, str, list[str], dict]:
         head = self.expect("punct", "(")
         child_tok = self.next()
-        if child_tok.kind not in ("word", "string"):
+        if child_tok.kind not in _NAME_KINDS:
             self.fail("expected a variable name", child_tok)
         if child_tok.text not in states:
             self.fail(f"unknown variable {child_tok.text!r}", child_tok)
         parents: list[str] = []
         tok = self.next()
         if tok.text == "|":
-            while True:
-                p = self.next()
-                if p.kind not in ("word", "string"):
-                    self.fail("expected a parent name", p)
+            for p in self.items(_NAME_KINDS, "parent name", ")",
+                                "in parent list"):
                 if p.text not in states:
                     self.fail(f"unknown variable {p.text!r}", p)
                 if p.text == child_tok.text or p.text in parents:
                     self.fail(f"repeated variable {p.text!r} in header", p)
                 parents.append(p.text)
-                sep = self.next()
-                if sep.text == ")":
-                    break
-                if sep.text != ",":
-                    self.fail("expected ',' or ')' in parent list", sep)
         elif tok.text != ")":
             self.fail("expected '|' or ')'", tok)
         self.expect("punct", "{")
@@ -278,17 +259,8 @@ class _Parser:
                 self.skip_statement()
             elif tok.text == "(":
                 self.next()
-                key = []
-                while True:
-                    v = self.next()
-                    if v.kind not in ("word", "number", "string"):
-                        self.fail("expected a state name", v)
-                    key.append(v.text)
-                    sep = self.next()
-                    if sep.text == ")":
-                        break
-                    if sep.text != ",":
-                        self.fail("expected ',' or ')' in state tuple", sep)
+                key = tuple(v.text for v in self.items(
+                    _STATE_KINDS, "state name", ")", "in state tuple"))
                 if not parents:
                     self.fail("state-tuple row in a parentless block", tok)
                 if len(key) != len(parents):
@@ -297,10 +269,9 @@ class _Parser:
                 for name, val in zip(parents, key):
                     if val not in states[name]:
                         self.fail(f"{val!r} is not a state of {name!r}", tok)
-                tkey = tuple(key)
-                if tkey in rows:
-                    self.fail(f"duplicate row for {tkey}", tok)
-                rows[tkey] = (self.parse_numbers(), tok)
+                if key in rows:
+                    self.fail(f"duplicate row for {key}", tok)
+                rows[key] = (self.parse_numbers(), tok)
             else:
                 self.fail(f"unexpected token {tok.text!r} in probability block",
                           tok)
@@ -309,93 +280,66 @@ class _Parser:
 
     def parse_numbers(self) -> list[float]:
         vals = []
-        while True:
-            tok = self.next()
-            if tok.kind != "number":
-                self.fail("expected a probability", tok)
+        for tok in self.items(("number",), "probability", ";",
+                              "after a probability"):
             try:
                 vals.append(float(tok.text))
             except ValueError:
                 self.fail(f"bad number {tok.text!r}", tok)
-            sep = self.next()
-            if sep.text == ";":
-                return vals
-            if sep.text != ",":
-                self.fail("expected ',' or ';' after a probability", sep)
+        return vals
 
     # -- assembly --------------------------------------------------------
 
     def assemble(self, order, states, blocks) -> CptNetwork:
         if not order:
             raise BifParseError("no variables declared", 1, 1)
-        index = {nm: i for i, nm in enumerate(order)}
-        cards = tuple(len(states[nm]) for nm in order)
-        parents_by_var: list[frozenset[int]] = []
-        head_by_var: list[_Token | None] = []
         for nm in order:
             if nm not in blocks:
                 raise BifParseError(
                     f"missing probability block for variable {nm!r}", 1, 1)
-            head, parents, _rows = blocks[nm]
-            parents_by_var.append(frozenset(index[p] for p in parents))
-            head_by_var.append(head)
+        index = {nm: i for i, nm in enumerate(order)}
         try:
-            dag = Dag(tuple(order), tuple(parents_by_var))
+            dag = Dag(tuple(order), tuple(
+                frozenset(index[p] for p in blocks[nm][1]) for nm in order))
         except CycleError as exc:
-            head = head_by_var[0]
-            raise BifParseError(str(exc), head.line, head.col) from exc
+            raise _error(self.text, blocks[order[0]][0].pos, str(exc)) from exc
 
+        cards = tuple(len(states[nm]) for nm in order)
         cpts = []
-        for v, nm in enumerate(order):
+        for nm, r in zip(order, cards):
             head, parents, rows = blocks[nm]
-            r = cards[v]
-            state_code = {s: k for k, s in enumerate(states[nm])}
-            if not parents:
-                if None not in rows:
-                    raise BifParseError(
-                        f"missing 'table' row for {nm!r}", head.line, head.col)
-                table = np.zeros((1, r))
-                table[0] = self.check_row(rows[None], nm, r)
-                cpts.append(table)
-                continue
-            pidx = [index[p] for p in parents]
-            canon = sorted(pidx)
-            table = np.full((int(np.prod([cards[i] for i in canon])), r), -1.0)
+            if not parents and None not in rows:
+                self.fail(f"missing 'table' row for {nm!r}", head)
+            # rows ravel over the parents in ascending index (CptNetwork)
+            canon = sorted(parents, key=index.get)
+            shape = tuple(len(states[p]) for p in canon)
+            table = np.full((int(np.prod(shape)), r), -1.0)
             for key, payload in rows.items():
-                codes = tuple(states[p].index(val) for p, val in zip(parents, key))
-                header_cfg = dict(zip(pidx, codes))
-                canon_tuple = tuple(header_cfg[i] for i in canon)
-                row_i = int(np.ravel_multi_index(
-                    canon_tuple, tuple(cards[i] for i in canon)))
-                table[row_i] = self.check_row(payload, nm, r)
+                named = dict(zip(parents, key or ()))
+                cfg = tuple(states[p].index(named[p]) for p in canon)
+                table[np.ravel_multi_index(cfg, shape)] = \
+                    self.check_row(payload, nm, r)
             if (table < 0).any():
-                missing_row = int(np.argmax((table < 0).any(axis=1)))
-                cfg = np.unravel_index(missing_row,
-                                       tuple(cards[i] for i in canon))
-                desc = ", ".join(
-                    f"{order[i]}={states[order[i]][k]}"
-                    for i, k in zip(canon, cfg))
-                raise BifParseError(
-                    f"missing CPT row for {nm!r} at ({desc})",
-                    head.line, head.col)
+                missing = np.unravel_index(
+                    int(np.argmax((table < 0).any(axis=1))), shape)
+                desc = ", ".join(f"{p}={states[p][k]}"
+                                 for p, k in zip(canon, missing))
+                self.fail(f"missing CPT row for {nm!r} at ({desc})", head)
             cpts.append(table)
         return CptNetwork(dag, cards, tuple(cpts))
 
     def check_row(self, payload, nm, r) -> np.ndarray:
         vals, tok = payload
         if len(vals) != r:
-            raise BifParseError(
-                f"{nm!r} row lists {len(vals)} probabilities, expected {r}",
-                tok.line, tok.col)
+            self.fail(f"{nm!r} row lists {len(vals)} probabilities, "
+                      f"expected {r}", tok)
         arr = np.asarray(vals, dtype=np.float64)
         if (arr < 0).any():
-            raise BifParseError(f"negative probability in {nm!r}",
-                                tok.line, tok.col)
+            self.fail(f"negative probability in {nm!r}", tok)
         total = float(arr.sum())
         if abs(total - 1.0) > 1e-6:
-            raise BifParseError(
-                f"{nm!r} row sums to {total:.8f}, expected 1 within 1e-6",
-                tok.line, tok.col)
+            self.fail(f"{nm!r} row sums to {total:.8f}, expected 1 within "
+                      "1e-6", tok)
         return arr / total  # renormalize residual rounding
 
 
@@ -410,4 +354,14 @@ def parse_bif(text: str) -> CptNetwork:
 
 
 def load_bif(path) -> CptNetwork:
-    return parse_bif(Path(path).read_text(encoding="utf-8"))
+    """Read a UTF-8 BIF file and parse it; a line ends at \\n, \\r\\n or \\r."""
+    # Path.read_text's newline translation, done on the bytes: \r and \n
+    # never occur inside a UTF-8 sequence, so the decoded text is the same.
+    raw = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        text = raw[:exc.start].decode("utf-8")
+        raise _error(text, len(text), f"invalid UTF-8 byte "
+                     f"{raw[exc.start]:#04x}") from None
+    return parse_bif(text)

@@ -173,8 +173,10 @@ def cmd_benchmark(bif: Path, config: RunConfig) -> int:
         "targets": [names[t] for t in targets],
         "sizes": [],
     }
-    pool = (ProcessPoolExecutor(max_workers=config.workers)
-            if config.workers > 1 else contextlib.nullcontext())
+    # a fork-based pool forks every worker at the first submit
+    workers = min(config.workers, len(targets))
+    pool = (ProcessPoolExecutor(max_workers=workers)
+            if workers > 1 else contextlib.nullcontext())
     with pool as executor:
         mapper = executor.map if executor is not None else map
         for size in config.sizes:

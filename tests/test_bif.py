@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -215,3 +217,71 @@ def test_trace_round_trips_through_text():
     assert again.dag == net.dag
     for a, b in zip(again.cpts, net.cpts):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    ('network n { }\nvariable "A {', "unterminated string", 2, 10),
+    ("network n { }\nvariable A { type ? }",
+     "unexpected character '?'", 2, 19),
+    ("network n { } /* oops", "unterminated comment", 1, 15),
+    ("/*/ x", "unterminated comment", 1, 1),
+    ("/* one\ntwo */ ?", "unexpected character '?'", 2, 8),
+    ('network "one\ntwo" { } ?', "unexpected character '?'", 2, 10),
+    ("network n {\r\n}\r\n  ?", "unexpected character '?'", 3, 3),
+    ("network n {\r\n}\r\nvariable A {\r\n  type continuous;\r\n}",
+     "unsupported variable type 'continuous' (only discrete is accepted)",
+     4, 8),
+    ("network n {\n}\nvariable A {", "unterminated variable block", 3, 13),
+    # an exponent's sign stays in the number; any other sign starts one
+    (GOOD.replace("table 0.3, 0.7;", "table 1e-5;"),
+     "'A' row lists 1 probabilities, expected 2", 11, 3),
+    (GOOD.replace("table 0.3, 0.7;", "table 0.5-0.2;"),
+     "expected ',' or ';' after a probability", 11, 12),
+    # a list with two errors reports the earlier one
+    (GOOD.replace("( B | A )", "( B | Zz A )"), "unknown variable 'Zz'",
+     13, 19),
+    (GOOD.replace("( B | A )", "( B | A, A ; )"),
+     "repeated variable 'A' in header", 13, 22),
+    (GOOD.replace("table 0.3, 0.7;", "table 1.2.3 0.7;"),
+     "bad number '1.2.3'", 11, 9),
+    # a state tuple is checked against the parents only once it is read
+    (GOOD.replace("( yes )", "( maybe maybe )"),
+     "expected ',' or ')' in state tuple", 14, 11),
+])
+def test_diagnostic_text_and_position(text, message, line, col):
+    err = error_position(text)
+    assert str(err) == f"line {line}, column {col}: {message}"
+    assert (err.line, err.col) == (line, col)
+
+
+def test_every_single_token_deletion_parses_or_is_a_parse_error():
+    text = asset_path("trace").read_text(encoding="utf-8")
+    spans = [m.span() for m in
+             re.finditer(r"[{}\[\]()|,;=]|[^\s{}\[\]()|,;=]+", text)]
+    assert len(spans) > 300
+    for start, end in spans:
+        try:
+            parse_bif(text[:start] + text[end:])
+        except BifParseError:
+            pass
+
+
+@pytest.mark.parametrize("raw, message, line, col", [
+    (b"network n {\r\n}\r\nvariable A\xff {", "invalid UTF-8 byte 0xff", 3, 11),
+    (b"// caf\xc3\xa9 \xc3(", "invalid UTF-8 byte 0xc3", 1, 9),
+    (b"network n {\r}\r???", "unexpected character '?'", 3, 1),
+])
+def test_load_bif_positions_bytes_and_line_endings(tmp_path, raw, message,
+                                                   line, col):
+    path = tmp_path / "net.bif"
+    path.write_bytes(raw)
+    with pytest.raises(BifParseError) as err:
+        load_bif(path)
+    assert str(err.value) == f"line {line}, column {col}: {message}"
+
+
+def test_rejects_one_state_variable():
+    err = error_position("network n { }\n"
+                         "variable A { type discrete [ 1 ] { a }; }\n"
+                         "probability ( A ) { table 1.0; }\n")
+    assert str(err) == "line 2, column 30: a variable needs at least 2 states"

@@ -267,6 +267,44 @@ def test_benchmark_workers_match_serial(tmp_path, capsys):
     assert strip_times(serial) == strip_times(fanned)
 
 
+def test_benchmark_workers_capped_at_target_count(tmp_path, capsys,
+                                                 monkeypatch):
+    import localcausal.cli as cli
+    made = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    report = bench(tmp_path, "w.json", "--workers", "5000")
+    capsys.readouterr()
+    assert made == [2]
+    assert report["targets"] == ["T", "K"]
+
+
+@pytest.mark.parametrize("text", [
+    b"network n { }\nvariable A { type discrete [ 2 ] { a\xff, b }; }\n",
+    b"network n { }\nvariable A { type discrete [ 1 ] { a }; }\n"
+    b"probability ( A ) { table 1.0; }\n",
+])
+def test_sample_bad_bif_is_exit_2(tmp_path, capsys, text):
+    bif = tmp_path / "bad.bif"
+    bif.write_bytes(text)
+    assert main(["sample", str(bif), "--n", "10",
+                 "--out", str(tmp_path / "d.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: line 2, column ")
+
+
 def test_benchmark_unknown_target_is_exit_2(capsys):
     assert main(["benchmark", TRACE, "--sizes", "100",
                  "--target", "NOPE"]) == 2

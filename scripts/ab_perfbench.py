@@ -5,11 +5,12 @@ Each pair runs ``perfbench/run.py`` once in the baseline checkout and
 once in the changed one, at the same workload, seed and ``--seconds``;
 the side that runs first alternates from pair to pair, so that drift in
 the machine's load falls on both sides alike. The summary gives, per
-checkout, the median and interquartile range of ``run_s``, ``setup_s``
-and ``peak_rss_mb``, the pairs the change won, every run's pass count,
-and the answers digests and ``ci_tests`` (which must agree for a
-speed-up to count; the exit status is 1 when they do not). Example,
-from the repository root::
+checkout, the median and interquartile range of ``run_s``, ``setup_s``,
+``peak_rss_mb`` and ``first_pass_s`` (the first pass's seconds, where a
+one-time cost moved out of set-up shows), the pairs the change won,
+every run's pass count, and the answers digests and ``ci_tests`` (which
+must agree for a speed-up to count; the exit status is 1 when they do
+not). Example, from the repository root::
 
     python scripts/ab_perfbench.py ../baseline . --workload oracle-12 \\
         --seed 31 --pairs 5 --seconds 25
@@ -41,7 +42,8 @@ def run_once(checkout: Path, args) -> dict:
     report = json.loads(line)["report"]
     e2e = report["end_to_end"]
     out = {m: e2e[m]["value"] for m in METRICS}
-    out.update(passes=len(report["passes"]), digest=report["digest"],
+    out.update(first_pass_s=report["passes"][0],
+               passes=len(report["passes"]), digest=report["digest"],
                ci_tests=e2e.get("ci_tests", {}).get("value"),
                fail_frac=e2e["fail_frac"]["value"],
                problems=len(report["problems"]))
@@ -74,13 +76,14 @@ def main(argv=None) -> int:
             runs[side].append(r)
             print(f"pair {i + 1} {side:<8} run_s={r['run_s']:.3f} "
                   f"setup_s={r['setup_s']:.3f} "
+                  f"first_pass_s={r['first_pass_s']:.3f} "
                   f"peak_rss_mb={r['peak_rss_mb']:.2f} passes={r['passes']} "
                   f"digest={r['digest']} ci_tests={r['ci_tests']} "
                   f"fail_frac={r['fail_frac']} problems={r['problems']}",
                   flush=True)
     print(f"\n{args.workload} seed={args.seed} pairs={args.pairs} "
           f"seconds={args.seconds}")
-    for metric in METRICS:
+    for metric in METRICS + ("first_pass_s",):
         base, new = ([r[metric] for r in runs[s]] for s in sides)
         (bm, biq), (nm, niq) = spread(base), spread(new)
         better = sum(n < b for b, n in zip(base, new))

@@ -48,7 +48,7 @@ def _error(text: str, pos: int, message: str) -> BifParseError:
 
 
 class _Token(NamedTuple):
-    kind: str  # "word", "number", "punct", "string", "eof"
+    kind: str  # "word", "number", "string", "eof", or the punct character
     text: str
     pos: int  # offset into the text
 
@@ -73,7 +73,9 @@ def _tokenize(text: str) -> list[_Token]:
             raise _error(text, m.start(), f"unterminated {what}")
         if kind == "bad":
             raise _error(text, m.start(), f"unexpected character {m[0]!r}")
-        if kind is not None:
+        if kind == "punct":  # kind is the character: a quoted "}" is no brace
+            tokens.append(_Token(m[0], m[0], m.start()))
+        elif kind is not None:
             tokens.append(_Token(kind, m[kind], m.start()))
     tokens.append(_Token("eof", "", len(text)))
     return tokens
@@ -101,11 +103,10 @@ class _Parser:
     def fail(self, message: str, tok: _Token | None = None):
         raise _error(self.text, (tok or self.peek()).pos, message)
 
-    def expect(self, kind: str, text: str | None = None) -> _Token:
+    def expect(self, kind: str) -> _Token:
         tok = self.next()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            self.fail(f"expected {want!r}, found {tok.text!r}", tok)
+        if tok.kind != kind:
+            self.fail(f"expected {kind!r}, found {tok.text!r}", tok)
         return tok
 
     def items(self, kinds, noun, close, where, trailing=False):
@@ -118,11 +119,11 @@ class _Parser:
                 self.fail(f"expected a {noun}", tok)
             yield tok
             sep = self.next()
-            if sep.text == close:
+            if sep.kind == close:
                 return
-            if sep.text != ",":
+            if sep.kind != ",":
                 self.fail(f"expected ',' or {close!r} {where}", sep)
-            if trailing and self.peek().text == close:
+            if trailing and self.peek().kind == close:
                 self.next()
                 return
 
@@ -133,18 +134,18 @@ class _Parser:
             tok = self.next()
             if tok.kind == "eof":
                 self.fail("unterminated statement", tok)
-            if tok.text in "([{":
+            if tok.kind in ("(", "[", "{"):
                 depth += 1
-            elif tok.text in ")]}":
+            elif tok.kind in (")", "]", "}"):
                 depth -= 1
-            elif tok.text == ";" and depth == 0:
+            elif tok.kind == ";" and depth == 0:
                 return
 
     # -- grammar ---------------------------------------------------------
 
     def parse(self) -> CptNetwork:
         states: dict[str, list[str]] = {}
-        order: list[str] = []
+        order: dict[str, _Token] = {}  # name -> its 'variable' keyword
         blocks: dict[str, tuple[_Token, list[str], dict]] = {}
         while self.peek().kind != "eof":
             tok = self.next()
@@ -157,7 +158,7 @@ class _Parser:
                 if name in states:
                     self.fail(f"variable {name!r} declared twice", tok)
                 states[name] = vals
-                order.append(name)
+                order[name] = tok
             elif tok.text == "probability":
                 head, child, parents, rows = self.parse_probability(states)
                 if child in blocks:
@@ -169,20 +170,20 @@ class _Parser:
 
     def parse_network(self):
         self.next()  # network name (word or string)
-        self.expect("punct", "{")
-        while self.peek().text != "}":
+        self.expect("{")
+        while self.peek().kind != "}":
             if self.peek().kind == "eof":
                 self.fail("unterminated network block")
             self.skip_statement()
-        self.expect("punct", "}")
+        self.expect("}")
 
     def parse_variable(self) -> tuple[str, list[str]]:
         name_tok = self.next()
         if name_tok.kind not in _NAME_KINDS:
             self.fail("expected a variable name", name_tok)
-        self.expect("punct", "{")
+        self.expect("{")
         values: list[str] | None = None
-        while self.peek().text != "}":
+        while self.peek().kind != "}":
             tok = self.next()
             if tok.kind == "eof":
                 self.fail("unterminated variable block", tok)
@@ -191,14 +192,14 @@ class _Parser:
                 if kind.text != "discrete":
                     self.fail(f"unsupported variable type {kind.text!r} "
                               "(only discrete is accepted)", kind)
-                self.expect("punct", "[")
+                self.expect("[")
                 count_tok = self.expect("number")
-                self.expect("punct", "]")
-                self.expect("punct", "{")
+                self.expect("]")
+                self.expect("{")
                 vals = [v.text for v in self.items(
                     _STATE_KINDS, "state name", "}", "in state list",
                     trailing=True)]
-                self.expect("punct", ";")
+                self.expect(";")
                 try:
                     declared = int(count_tok.text)
                 except ValueError:
@@ -215,14 +216,14 @@ class _Parser:
                 self.skip_statement()
             else:
                 self.fail(f"unexpected token {tok.text!r} in variable block", tok)
-        self.expect("punct", "}")
+        self.expect("}")
         if values is None:
             self.fail(f"variable {name_tok.text!r} has no type declaration",
                       name_tok)
         return name_tok.text, values
 
     def parse_probability(self, states) -> tuple[_Token, str, list[str], dict]:
-        head = self.expect("punct", "(")
+        head = self.expect("(")
         child_tok = self.next()
         if child_tok.kind not in _NAME_KINDS:
             self.fail("expected a variable name", child_tok)
@@ -230,7 +231,7 @@ class _Parser:
             self.fail(f"unknown variable {child_tok.text!r}", child_tok)
         parents: list[str] = []
         tok = self.next()
-        if tok.text == "|":
+        if tok.kind == "|":
             for p in self.items(_NAME_KINDS, "parent name", ")",
                                 "in parent list"):
                 if p.text not in states:
@@ -238,11 +239,11 @@ class _Parser:
                 if p.text == child_tok.text or p.text in parents:
                     self.fail(f"repeated variable {p.text!r} in header", p)
                 parents.append(p.text)
-        elif tok.text != ")":
+        elif tok.kind != ")":
             self.fail("expected '|' or ')'", tok)
-        self.expect("punct", "{")
+        self.expect("{")
         rows: dict[tuple[str, ...] | None, tuple[list[float], _Token]] = {}
-        while self.peek().text != "}":
+        while self.peek().kind != "}":
             tok = self.peek()
             if tok.kind == "eof":
                 self.fail("unterminated probability block")
@@ -257,7 +258,7 @@ class _Parser:
             elif tok.kind == "word" and tok.text == "property":
                 self.next()
                 self.skip_statement()
-            elif tok.text == "(":
+            elif tok.kind == "(":
                 self.next()
                 key = tuple(v.text for v in self.items(
                     _STATE_KINDS, "state name", ")", "in state tuple"))
@@ -275,7 +276,7 @@ class _Parser:
             else:
                 self.fail(f"unexpected token {tok.text!r} in probability block",
                           tok)
-        self.expect("punct", "}")
+        self.expect("}")
         return head, child_tok.text, parents, rows
 
     def parse_numbers(self) -> list[float]:
@@ -293,16 +294,15 @@ class _Parser:
     def assemble(self, order, states, blocks) -> CptNetwork:
         if not order:
             raise BifParseError("no variables declared", 1, 1)
-        for nm in order:
+        for nm, tok in order.items():
             if nm not in blocks:
-                raise BifParseError(
-                    f"missing probability block for variable {nm!r}", 1, 1)
+                self.fail(f"missing probability block for variable {nm!r}", tok)
         index = {nm: i for i, nm in enumerate(order)}
         try:
             dag = Dag(tuple(order), tuple(
                 frozenset(index[p] for p in blocks[nm][1]) for nm in order))
         except CycleError as exc:
-            raise _error(self.text, blocks[order[0]][0].pos, str(exc)) from exc
+            raise _error(self.text, blocks[exc.names[0]][0].pos, str(exc)) from exc
 
         cards = tuple(len(states[nm]) for nm in order)
         cpts = []

@@ -14,7 +14,11 @@ from .data import Dataset
 
 
 class CycleError(ValueError):
-    """The graph contains a directed cycle."""
+    """The graph has a directed cycle through ``names``, in index order."""
+
+    def __init__(self, message: str, names: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.names = names
 
 
 @dataclass(frozen=True)
@@ -116,8 +120,8 @@ def topo_order(dag: Dag) -> list[int]:
             if indeg[c] == 0:
                 heapq.heappush(ready, c)
     if len(order) != n:
-        stuck = [dag.names[i] for i in range(n) if indeg[i] > 0]
-        raise CycleError(f"directed cycle through {', '.join(sorted(stuck))}")
+        stuck = tuple(dag.names[i] for i in range(n) if indeg[i] > 0)
+        raise CycleError(f"directed cycle through {', '.join(sorted(stuck))}", stuck)
     return order
 
 

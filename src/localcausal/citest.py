@@ -9,17 +9,18 @@ counter. Beneath the counter each engine memoises its results, so a
 repeated query costs a lookup but still counts as a test. An
 unconditional data query that misses the store computes its first
 variable against every other variable in one pass (a row fill), bit for
-bit as the per-pair path would.
+bit as the per-pair path would. scipy is imported at the first G²
+p-value: oracle learning, BIF parsing, sampling and CSV I/O never load it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .bnet import Dag, d_separated
 from .data import ContingencyTable, Dataset, contingency
@@ -51,6 +52,13 @@ _SEPARATED = CiResult(True, 0.0, 1.0, 0, True)
 _CONNECTED = CiResult(False, 1.0, 0.0, 0, True)
 
 
+@functools.cache
+def _gammaincc():
+    """``scipy.special.gammaincc``, imported once, at the first call."""
+    from scipy.special import gammaincc
+    return gammaincc
+
+
 def chi2_sf(x: float, dof: int) -> float:
     """Chi-square survival function, the regularized upper incomplete
     gamma Q(dof/2, x/2)."""
@@ -58,7 +66,7 @@ def chi2_sf(x: float, dof: int) -> float:
         raise ValueError("dof must be at least 1")
     if x < 0:
         raise ValueError("statistic must be nonnegative")
-    return float(gammaincc(dof / 2.0, x / 2.0))
+    return float(_gammaincc()(dof / 2.0, x / 2.0))
 
 
 def g2_statistic(table: ContingencyTable) -> tuple[float, int]:
@@ -196,6 +204,7 @@ class CiEngine:
         as ``(min, max)`` before its G² so that it matches the per-pair
         path bit for bit."""
         cols, cards = self._data.columns, self._data.cardinalities
+        gammaincc = _gammaincc()
         rx, n = cards[x], cols.shape[1]
         groups: dict[tuple[int, bool], list[int]] = {}
         for u in range(self._n_vars):

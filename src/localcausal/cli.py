@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .bif import BifParseError, load_bif
 from .bnet import CptNetwork, sample
-from .citest import CiEngine
+from .citest import CiEngine, _gammaincc
 from .data import Dataset, DatasetError, load_csv, save_csv
 from .localgraph import elcs
 from .mbdiscovery import emb, iamb
@@ -174,6 +174,7 @@ def cmd_benchmark(bif: Path, config: RunConfig) -> int:
         "sizes": [],
     }
     # a fork-based pool forks every worker at the first submit
+    _gammaincc()  # so every worker shares the scipy loaded here
     workers = min(config.workers, len(targets))
     pool = (ProcessPoolExecutor(max_workers=workers)
             if workers > 1 else contextlib.nullcontext())

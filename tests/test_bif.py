@@ -285,3 +285,39 @@ def test_rejects_one_state_variable():
                          "variable A { type discrete [ 1 ] { a }; }\n"
                          "probability ( A ) { table 1.0; }\n")
     assert str(err) == "line 2, column 30: a variable needs at least 2 states"
+
+
+@pytest.mark.parametrize("prop", ['""', '"(" "|"', '")" "}"'])
+def test_quoted_punctuation_in_a_property(prop):
+    net = parse_bif(f"network n {{ property x {prop}; }}\n" + GOOD.split("}\n", 1)[1])
+    assert net.dag.names == ("A", "B")
+
+
+def test_quoted_brace_is_a_state():
+    # the states of A are ("a", "}"): B's rows land in that order
+    net = parse_bif("""
+variable A { type discrete [ 2 ] { a, "}" }; }
+variable B { type discrete [ 2 ] { b0, b1 }; }
+probability ( A ) { table 0.5, 0.5; }
+probability ( B | A ) { ( "}" ) 0.9, 0.1; ( a ) 0.2, 0.8; }
+""")
+    assert net.cardinalities == (2, 2)
+    assert np.array_equal(net.cpts[1], [[0.2, 0.8], [0.9, 0.1]])
+
+@pytest.mark.parametrize("text, message, line, col", [
+    # at B's variable keyword, not at the top of the file
+    (GOOD[: GOOD.index("probability ( B")],
+     "missing probability block for variable 'B'", 7, 1),
+    # at the probability block of B, the first declared variable named
+    ("network n { }\n"
+     "variable A { type discrete [ 2 ] { a0, a1 }; }\n"
+     "variable B { type discrete [ 2 ] { b0, b1 }; }\n"
+     "variable C { type discrete [ 2 ] { c0, c1 }; }\n"
+     "probability ( A ) { table 0.5, 0.5; }\n"
+     "probability ( C | B ) { ( b0 ) 0.5, 0.5; ( b1 ) 0.5, 0.5; }\n"
+     "probability ( B | C ) { ( c0 ) 0.5, 0.5; ( c1 ) 0.5, 0.5; }\n",
+     "directed cycle through B, C", 7, 13),
+], ids=["missing-block", "cycle"])
+def test_assembly_diagnostic_position(text, message, line, col):
+    err = error_position(text)
+    assert str(err) == f"line {line}, column {col}: {message}"

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,17 @@ def test_dag_rejects_bad_input():
 def test_dag_rejects_cycles():
     with pytest.raises(CycleError, match="directed cycle through a, b"):
         Dag(("a", "b"), (frozenset({1}), frozenset({0})))
+
+
+def test_cycle_error_names_the_stuck_variables_in_index_order():
+    # c hangs below the cycle, so it is named too; a pickled error (as a
+    # worker process would send it) keeps its message and names
+    with pytest.raises(CycleError) as err:
+        Dag(("c", "b", "a"), (frozenset({1}), frozenset({2}), frozenset({1})))
+    assert str(err.value) == "directed cycle through a, b, c"
+    assert err.value.names == ("c", "b", "a")
+    again = pickle.loads(pickle.dumps(err.value))
+    assert (str(again), again.names) == (str(err.value), err.value.names)
 
 
 def test_topo_order_is_stable():

@@ -1,5 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -472,3 +477,40 @@ def test_engine_is_symmetric_in_x_and_y(alarm_net):
     for make, stream in store_streams(alarm_net):
         for x, y, z in stream:
             assert make().ci_test(x, y, z) == make().ci_test(y, x, z)
+
+
+SCIPY_GUARD = textwrap.dedent("""
+    import sys
+    from localcausal import (CiEngine, chi2_sf, d_separated, elcs, load_bif,
+                             load_csv, sample, save_csv)
+    from localcausal.assets import asset_path
+
+    net = load_bif(asset_path("alarm"))
+    data = sample(net, 2000, 1)
+    save_csv(data, sys.argv[1])
+    assert (load_csv(sys.argv[1]).columns == data.columns).all()
+    assert not d_separated(net.dag, 0, 1, (2,))
+    oracle = CiEngine.oracle(net.dag)
+    assert elcs(oracle, 0).mbs_learned >= 1 and oracle.test_count > 0
+    engine = CiEngine.g2(data)
+    assert "scipy.special" not in sys.modules, "loaded before a G2 test"
+
+    results = [engine.ci_test(14, 13), engine.ci_test(14, 13, (12,))]
+    assert "scipy.special" in sys.modules, "not loaded by a G2 test"
+    from scipy.special import gammaincc
+    for r in results:
+        assert r.dof > 0
+        assert r.p_value == float(gammaincc(r.dof / 2, r.statistic / 2))
+    for x, dof in [(0.0, 1), (3.84, 1), (12.5, 7), (0.1, 40), (1e3, 30)]:
+        assert chi2_sf(x, dof) == float(gammaincc(dof / 2, x / 2)), (x, dof)
+""")
+
+
+def test_scipy_loads_only_at_the_first_g2_p_value(tmp_path):
+    # a fresh interpreter: this one loaded scipy long ago
+    src = Path(localcausal.citest.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", SCIPY_GUARD,
+                           str(tmp_path / "alarm.csv")], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -37,9 +37,12 @@ class BifParseError(ValueError):
     """Syntax or consistency error in a BIF file, with source position."""
 
     def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"line {line}, column {col}: {message}")
+        super().__init__(message, line, col)  # the args a pickle replays
         self.line = line
         self.col = col
+
+    def __str__(self) -> str:
+        return f"line {self.line}, column {self.col}: {self.args[0]}"
 
 
 def _error(text: str, pos: int, message: str) -> BifParseError:

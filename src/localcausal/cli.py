@@ -15,7 +15,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
@@ -29,7 +29,7 @@ from .mbdiscovery import emb, iamb
 from .metrics import LocalScore, aggregate, score_local
 
 SCHEMA_VERSION = 1
-ALGOS = ("elcs", "elcs2", "emb", "iamb")
+ALGOS = ("elcs", "emb", "iamb")
 
 
 class UsageError(ValueError):
@@ -69,6 +69,9 @@ class RunConfig:
             raise UsageError("workers must be at least 1")
         if any(s < 1 for s in self.sizes):
             raise UsageError("sizes must be positive")
+        for i, t in enumerate(self.targets):
+            if t in self.targets[:i]:
+                raise UsageError(f"target {t!r} is given more than once")
 
 
 def _learn_one(data: Dataset, target: int, config: RunConfig
@@ -85,10 +88,9 @@ def _learn_one(data: Dataset, target: int, config: RunConfig
     elif config.algo == "emb":
         out = emb(engine, target, n_structures=config.n_structures)
     else:
-        out = elcs(engine, target, rank_spouses=config.algo == "elcs2",
-                   n_structures=config.n_structures)
+        out = elcs(engine, target, n_structures=config.n_structures)
     time_ms = (time.perf_counter() - start) * 1000.0
-    expanded = config.algo in ("elcs", "elcs2")
+    expanded = config.algo == "elcs"
     if config.algo == "iamb":  # an unoriented blanket
         sets, spouses = (set(), set(), out), set()
     else:
@@ -142,11 +144,6 @@ def _bench_target(data: Dataset, net: CptNetwork, target: int,
                        time_ms=report["time_ms"])
 
 
-def _score_dict(s: LocalScore) -> dict:
-    return {"arr_p": s.arr_p, "arr_r": s.arr_r, "shd": s.shd, "fdr": s.fdr,
-            "ci_tests": s.ci_tests, "time_ms": s.time_ms}
-
-
 def cmd_benchmark(bif: Path, config: RunConfig) -> int:
     net = load_bif(bif)
     names = net.dag.names
@@ -194,7 +191,7 @@ def cmd_benchmark(bif: Path, config: RunConfig) -> int:
                     "run": run,
                     "seed": run_seed,
                     "per_target": [
-                        {"target": names[t], **_score_dict(s)}
+                        {"target": names[t], **asdict(s)}
                         for t, s in zip(targets, scores)
                     ],
                     "mean": mean,
@@ -211,7 +208,7 @@ def cmd_benchmark(bif: Path, config: RunConfig) -> int:
 
 
 def _print_table(report: dict) -> None:
-    cols = ["arr_p", "arr_r", "shd", "fdr", "ci_tests", "time_ms"]
+    cols = [f.name for f in fields(LocalScore)]
     print(f"network={report['network']} algo={report['algo']} "
           f"alpha={report['alpha']} runs={report['runs']}")
     header = f"{'size':>8} {'run':>5} " + " ".join(f"{c:>10}" for c in cols)

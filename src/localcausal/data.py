@@ -90,7 +90,7 @@ _POW10 = 10 ** np.arange(19, dtype=np.int64)
 _SPACE = np.array([b < 128 and b != 10 and chr(b).isspace() for b in range(256)])
 
 
-def load_csv(path: str | Path, cardinalities=None) -> Dataset:
+def load_csv(path: str | Path) -> Dataset:
     """Load a dataset from a header+integer-codes CSV file.
 
     The file is UTF-8, comma separated, first line is the header; lines
@@ -98,9 +98,9 @@ def load_csv(path: str | Path, cardinalities=None) -> Dataset:
     lines are skipped, and a cell is ASCII digits with optional whitespace
     around them, at most 2**31 - 1.
     If a ``.card`` sidecar file exists next to ``path`` (one integer per
-    line, header order) it fixes the cardinalities; otherwise they are
-    inferred as ``max code + 1`` per column (floored at 2 so the type
-    invariant holds). An explicit ``cardinalities`` argument overrides both.
+    line, header order) it fixes the cardinalities, and it is the only
+    way to fix them; otherwise they are inferred as ``max code + 1`` per
+    column (floored at 2 so the type invariant holds).
     """
     path = Path(path)
     try:
@@ -129,14 +129,13 @@ def load_csv(path: str | Path, cardinalities=None) -> Dataset:
         kept += len(block)
     columns = np.ascontiguousarray(columns[:, :kept])
 
-    if cardinalities is None:
-        sidecar = _card_path(path)
-        if sidecar.exists():
-            cardinalities = _load_cards(sidecar, len(names))
-        else:
-            maxima = columns.max(axis=1, initial=-1)
-            cardinalities = tuple(max(int(m) + 1, 2) for m in maxima)
-    return Dataset(names, tuple(cardinalities), columns)
+    sidecar = _card_path(path)
+    if sidecar.exists():
+        cardinalities = _load_cards(sidecar, len(names))
+    else:
+        maxima = columns.max(axis=1, initial=-1)
+        cardinalities = tuple(max(int(m) + 1, 2) for m in maxima)
+    return Dataset(names, cardinalities, columns)
 
 
 def _parse_block(lines: list[str], rownums, names, path) -> np.ndarray:
@@ -195,12 +194,12 @@ def _load_cards(path: Path, n_vars: int) -> tuple[int, ...]:
     return tuple(cards)
 
 
-def save_csv(data: Dataset, path: str | Path, sidecar: bool = True) -> None:
-    """Write ``data`` as CSV plus, by default, a ``.card`` sidecar.
+def save_csv(data: Dataset, path: str | Path) -> None:
+    """Write ``data`` as CSV plus a ``.card`` sidecar of its cardinalities.
 
     After the header, each row is its codes in unpadded base 10, comma
     separated and ended by ``\\n``. Loading the result reproduces the
-    dataset exactly, including cardinalities when the sidecar is written.
+    dataset exactly, cardinalities included.
     """
     path = Path(path)
     with path.open("wb") as f:
@@ -215,10 +214,9 @@ def save_csv(data: Dataset, path: str | Path, sidecar: bool = True) -> None:
                 has = sizes > k
                 out[seps[has] - 1 - k] = ord("0") + values[has] // _POW10[k] % 10
             f.write(out)
-    if sidecar:
-        _card_path(path).write_text(
-            "\n".join(str(r) for r in data.cardinalities) + "\n", encoding="utf-8"
-        )
+    _card_path(path).write_text(
+        "\n".join(str(r) for r in data.cardinalities) + "\n", encoding="utf-8"
+    )
 
 
 def contingency(data: Dataset, x: int, y: int, z=()) -> ContingencyTable:

@@ -219,8 +219,8 @@ QUEUE_EXHAUSTED = "queue-exhausted"
 ALL_VISITED = "all-visited"
 
 
-def elcs(engine: CiEngine, target: int, rank_spouses: bool = False,
-         n_structures: bool = True) -> ElcsOutcome:
+def elcs(engine: CiEngine, target: int, n_structures: bool = True
+         ) -> ElcsOutcome:
     """Queue-driven local structure learning around ``target``.
 
     Pops start at the target; each unvisited pop gets a blanket learned
@@ -236,8 +236,7 @@ def elcs(engine: CiEngine, target: int, rank_spouses: bool = False,
         x = queue.popleft()
         if x not in graph.visited:
             graph.visited.add(x)
-            result = emb(engine, x, rank_spouses=rank_spouses,
-                         n_structures=n_structures)
+            result = emb(engine, x, n_structures=n_structures)
             if x == target:  # always the first pop
                 target_result = result
             apply_orientations(graph, x, result)

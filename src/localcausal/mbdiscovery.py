@@ -74,31 +74,26 @@ class MbResult:
 
 
 def recog_spouses(engine: CiEngine, target: int, pc: set[int],
-                  sepsets: Sepsets, rank_spouses: bool = False
-                  ) -> tuple[SpouseMap, SpouseMap]:
+                  sepsets: Sepsets) -> tuple[SpouseMap, SpouseMap]:
     """Find spouse candidates of ``target`` through each PC member, then
     prune them; returns (pruned, candidates).
 
     A non-member X becomes a candidate through Y when X is dependent on
     the target given {Y} plus X's recorded separating set, after X has
     shown dependence given the PC members it is unconditionally linked
-    to. Pruning drops X from Y's set when anything in the remaining
-    pool separates the pair. With ``rank_spouses`` the pruning visits
-    each set in descending order of unconditional association with Y
-    (reusing the strengths measured while building the candidate sets),
-    which can change test counts but never the result.
+    to. Pruning visits the PC members Y, and each Y's candidates X, in
+    ascending index order, and drops X from Y's set as soon as anything
+    in the remaining pool separates the pair. On data a different order
+    can change both the test count and the result, because a dropped
+    candidate leaves the pools of the ones visited after it.
     """
     csp: SpouseMap = {}
-    strength: dict[tuple[int, int], float] = {}
     for x in range(engine.n_vars):
         if x == target or x in pc:
             continue
-        temp = []
-        for y in sorted(pc):
-            r = engine.ci_test(y, x, ())  # y's row answers the whole scan
-            if not r.independent:
-                temp.append(y)
-                strength[(x, y)] = r.statistic
+        # y's row answers the whole scan
+        temp = [y for y in sorted(pc)
+                if not engine.ci_test(y, x, ()).independent]
         if engine.ci_test(x, target, temp).independent:
             continue
         sep_x = sepsets.get(x, frozenset())
@@ -109,10 +104,7 @@ def recog_spouses(engine: CiEngine, target: int, pc: set[int],
     sp: SpouseMap = {y: set(v) for y, v in csp.items()}
     for y in sorted(sp):
         members = sp[y]
-        order = sorted(members)
-        if rank_spouses:
-            order.sort(key=lambda x: (-strength[(x, y)], x))
-        for x in order:
+        for x in sorted(members):
             pool = (members | {target} | pc) - {x, y}
             if find_separator(engine, x, y, pool) is not None:
                 members.discard(x)
@@ -186,8 +178,7 @@ def distinguish_pc(engine: CiEngine, target: int, pc: set[int],
     return parents, children, pc - parents - children
 
 
-def emb(engine: CiEngine, target: int, rank_spouses: bool = False,
-        n_structures: bool = True) -> MbResult:
+def emb(engine: CiEngine, target: int, n_structures: bool = True) -> MbResult:
     """Markov blanket of ``target`` with members oriented where the
     evidence allows; see the module docstring for the stages.
 
@@ -203,8 +194,7 @@ def emb(engine: CiEngine, target: int, rank_spouses: bool = False,
     pc, sepsets = recog_pc(engine, target)
     sepsets = dict(sepsets)
     while True:
-        sp, csp = recog_spouses(engine, target, pc, sepsets,
-                                rank_spouses=rank_spouses)
+        sp, csp = recog_spouses(engine, target, pc, sepsets)
         pc, sp, found = _remove_false_pc(engine, target, pc, sp)
         if not found:
             break

@@ -38,6 +38,12 @@ def report(net: str, size: int, algo: str, out: Path) -> dict:
     return untimed(json.loads(out.read_text(encoding="utf-8")))
 
 
+def test_golden_keys_are_the_cases():
+    # an algorithm removed from ALGOS must take its entries along
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert sorted(golden) == sorted(f"{net}/{algo}" for net, _, algo in CASES)
+
+
 @pytest.mark.parametrize("net, size, algo", CASES)
 def test_benchmark_answers_match_golden(net, size, algo, tmp_path):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))

@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import numpy as np
@@ -184,6 +185,15 @@ def test_reports_line_and_column():
     err = error_position("network n {\n}\n???")
     assert err.line == 3
     assert err.col == 1
+
+
+def test_parse_error_survives_pickling():
+    # a worker process sends its exceptions to the parent by pickle
+    err = error_position("network n {\n}\n???")
+    again = pickle.loads(pickle.dumps(err))
+    assert type(again) is BifParseError
+    assert (str(again), again.line, again.col) == (str(err), 3, 1)
+    assert str(again).startswith("line 3, column 1: ")
 
 
 def test_bundled_networks_parse_and_validate():

@@ -143,7 +143,7 @@ def test_learn_report_matches_python_api(alarm_sample, capsys, algo, target):
         roles = (out.parents, out.children, out.undecided)
         spouses = out.mb - out.pc
     else:
-        out = elcs(engine, t, rank_spouses=algo == "elcs2")
+        out = elcs(engine, t)
         roles = (out.parents, out.children, out.undecided)
         spouses = out.target_result.mb - out.target_result.pc
         mbs, termination = out.mbs_learned, out.termination
@@ -165,8 +165,9 @@ def test_learn_under_budget(alarm_sample, capsys):
 
 
 def test_learn_usage_errors(sampled, capsys):
-    assert main(["learn", str(sampled), "--target", "T",
-                 "--algo", "magic"]) == 1
+    for algo in ("magic", "elcs2"):
+        assert main(["learn", str(sampled), "--target", "T",
+                     "--algo", algo]) == 1
     assert main(["learn", str(sampled), "--target", "T",
                  "--alpha", "0"]) == 1
     for k in ("-1", "nan", "inf"):
@@ -318,4 +319,15 @@ def test_benchmark_usage_errors(tmp_path, capsys):
     assert main(["benchmark", TRACE, "--sizes", "0"]) == 1
     assert main(["benchmark", TRACE, "--sizes", "100",
                  "--seed", "-1"]) == 1
+    assert main(["benchmark", TRACE, "--sizes", "100",
+                 "--algo", "elcs2"]) == 1
     capsys.readouterr()
+
+
+def test_benchmark_repeated_target_is_usage_error(capsys):
+    # a target given twice would be scored twice and weigh double in
+    # every mean
+    assert main(["benchmark", TRACE, "--sizes", "100",
+                 "--target", "T", "--target", "A", "--target", "T"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "'T'" in err

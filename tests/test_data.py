@@ -79,14 +79,6 @@ def test_load_csv_inference_floors_at_two(tmp_path):
     assert data.cardinalities == (2, 2)
 
 
-def test_load_csv_explicit_cardinalities_override(tmp_path):
-    csv = tmp_path / "d.csv"
-    csv.write_text("x\n0\n1\n")
-    (tmp_path / "d.card").write_text("2\n")
-    data = load_csv(csv, cardinalities=(4,))
-    assert data.cardinalities == (4,)
-
-
 def test_load_csv_skips_blank_lines(tmp_path):
     csv = tmp_path / "d.csv"
     csv.write_text("x,y\n0,1\n\n1,0\n\n")
@@ -153,13 +145,6 @@ def test_save_csv_round_trip_exact(tmp_path):
     assert back.names == data.names
     assert back.cardinalities == data.cardinalities
     assert np.array_equal(back.columns, data.columns)
-
-
-def test_save_csv_without_sidecar(tmp_path):
-    data = small_dataset()
-    out = tmp_path / "out.csv"
-    save_csv(data, out, sidecar=False)
-    assert not (tmp_path / "out.card").exists()
 
 
 def test_load_csv_accepts_int32_max(tmp_path):

@@ -217,19 +217,6 @@ def test_emb_exact_on_random_dags():
             res.validate()
 
 
-def test_emb_rank_spouses_same_results():
-    rng = np.random.Generator(np.random.PCG64(31337))
-    for _ in range(25):
-        dag = random_dag(rng)
-        for t in range(dag.n_vars):
-            plain = emb(CiEngine.oracle(dag), t)
-            ranked = emb(CiEngine.oracle(dag), t, rank_spouses=True)
-            assert plain.pc == ranked.pc
-            assert plain.spouses == ranked.spouses
-            assert (plain.parents, plain.children, plain.undecided) == \
-                (ranked.parents, ranked.children, ranked.undecided)
-
-
 def test_emb_no_n_structures_only_moves_children_to_undecided():
     rng = np.random.Generator(np.random.PCG64(2718))
     moved = 0

@@ -1,9 +1,11 @@
 """Command line interface: sample, learn, benchmark.
 
-All reports are JSON-first (``"schema": 1``); the benchmark table is
-rendered from the same dictionary that lands in the JSON file. Exit
-codes: 0 success, 1 usage error, 2 data or parse error, 3 internal
-error.
+Each command reads its settings straight from argparse's namespace,
+checked once in :func:`run`. All reports are JSON-first
+(``"schema": 1``): ``learn`` builds the one per-target report, and the
+benchmark table is rendered from the same dictionary that lands in the
+JSON file. Exit codes: 0 success, 1 usage error, 2 data or parse error,
+3 internal error.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
@@ -36,120 +38,77 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Knobs shared by the learn and benchmark commands."""
-
-    algo: str = "elcs"
-    alpha: float = 0.01
-    reliability_k: float = 5.0
-    max_cond: Optional[int] = None
-    n_structures: bool = True
-    seed: int = 1
-    sizes: tuple[int, ...] = ()
-    runs: int = 1
-    targets: tuple[str, ...] = ()
-    out: Optional[Path] = None
-    workers: int = 1
-
-    def validate(self) -> None:
-        if self.algo not in ALGOS:
-            raise UsageError(f"unknown algo {self.algo!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise UsageError("alpha must be in (0, 1)")
-        if not (math.isfinite(self.reliability_k) and self.reliability_k >= 0):
-            raise UsageError("reliability-k must be finite and nonnegative")
-        if self.max_cond is not None and self.max_cond < 0:
-            raise UsageError("max-cond must be nonnegative")
-        if self.seed < 0:
-            raise UsageError("seed must be nonnegative")
-        if self.runs < 1:
-            raise UsageError("runs must be at least 1")
-        if self.workers < 1:
-            raise UsageError("workers must be at least 1")
-        if any(s < 1 for s in self.sizes):
-            raise UsageError("sizes must be positive")
-        for i, t in enumerate(self.targets):
-            if t in self.targets[:i]:
-                raise UsageError(f"target {t!r} is given more than once")
-
-
-def _learn_one(data: Dataset, target: int, config: RunConfig
-               ) -> tuple[dict, tuple[set[int], set[int], set[int]]]:
-    """Run the configured algorithm once on a fresh engine; returns the
-    report, which uses variable names, and the (parents, children,
-    undecided) index sets it was built from."""
-    engine = CiEngine.g2(data, alpha=config.alpha,
-                         reliability_k=config.reliability_k,
-                         max_cond_size=config.max_cond)
+def _learn_one(data: Dataset, target: int, args: argparse.Namespace):
+    """Run ``args.algo`` once on a fresh engine; returns the learner's
+    output, its (parents, children, undecided) index sets, ``ci_tests``
+    and ``time_ms``."""
+    engine = CiEngine.g2(data, alpha=args.alpha,
+                         reliability_k=args.reliability_k,
+                         max_cond_size=args.max_cond)
     start = time.perf_counter()
-    if config.algo == "iamb":
+    if args.algo == "iamb":
         out = iamb(engine, target)
-    elif config.algo == "emb":
-        out = emb(engine, target, n_structures=config.n_structures)
+    elif args.algo == "emb":
+        out = emb(engine, target, n_structures=args.n_structures)
     else:
-        out = elcs(engine, target, n_structures=config.n_structures)
+        out = elcs(engine, target, n_structures=args.n_structures)
     time_ms = (time.perf_counter() - start) * 1000.0
-    expanded = config.algo == "elcs"
-    if config.algo == "iamb":  # an unoriented blanket
-        sets, spouses = (set(), set(), out), set()
-    else:
-        blanket = out.target_result if expanded else out
-        sets = (out.parents, out.children, out.undecided)
-        spouses = blanket.mb - blanket.pc
+    sets = ((set(), set(), out) if args.algo == "iamb"  # unoriented
+            else (out.parents, out.children, out.undecided))
+    return out, sets, engine.test_count, time_ms
+
+
+def cmd_sample(args: argparse.Namespace) -> int:
+    data = sample(load_bif(args.bif), args.n, args.seed)
+    save_csv(data, args.out)
+    print(f"wrote {data.n_rows} rows x {data.n_vars} variables to {args.out} "
+          f"(cardinalities in {args.out.with_suffix('.card')})")
+    return 0
+
+
+def cmd_learn(args: argparse.Namespace) -> int:
+    data = load_csv(args.data)
+    target = data.index_of(args.target)
+    out, sets, ci_tests, time_ms = _learn_one(data, target, args)
+    expanded = args.algo == "elcs"
+    blanket = out.target_result if expanded else out
+    spouses = set() if args.algo == "iamb" else blanket.mb - blanket.pc
     names = data.names
     parents, children, undecided = (sorted(names[v] for v in s) for s in sets)
     report = {
         "schema": SCHEMA_VERSION,
-        "algo": config.algo,
+        "algo": args.algo,
         "target": names[target],
         "parents": parents,
         "children": children,
         "undirected": undecided,
         "spouses": sorted(names[v] for v in spouses),
-        "ci_tests": engine.test_count,
+        "ci_tests": ci_tests,
         "time_ms": time_ms,
         "mbs_learned": out.mbs_learned if expanded else 1,
         "conflicts": len(out.graph.conflicts) if expanded else 0,
         "termination": out.termination if expanded else "single-mb",
     }
-    return report, sets
-
-
-def cmd_sample(bif: Path, n: int, seed: int, out: Path) -> int:
-    net = load_bif(bif)
-    data = sample(net, n, seed)
-    save_csv(data, out)
-    print(f"wrote {data.n_rows} rows x {data.n_vars} variables to {out} "
-          f"(cardinalities in {out.with_suffix('.card')})")
-    return 0
-
-
-def cmd_learn(data_path: Path, target_name: str, config: RunConfig) -> int:
-    data = load_csv(data_path)
-    target = data.index_of(target_name)
-    report, _ = _learn_one(data, target, config)
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
-    if config.out is not None:
-        config.out.write_text(text + "\n", encoding="utf-8")
+    if args.out is not None:
+        args.out.write_text(text + "\n", encoding="utf-8")
     return 0
 
 
 def _bench_target(data: Dataset, net: CptNetwork, target: int,
-                  config: RunConfig) -> LocalScore:
-    report, (parents, children, undecided) = _learn_one(data, target, config)
-    return score_local(parents, children, undecided, net.dag, target,
-                       ci_tests=report["ci_tests"],
-                       time_ms=report["time_ms"])
+                  args: argparse.Namespace) -> LocalScore:
+    _, sets, ci_tests, time_ms = _learn_one(data, target, args)
+    return score_local(*sets, net.dag, target, ci_tests=ci_tests,
+                       time_ms=time_ms)
 
 
-def cmd_benchmark(bif: Path, config: RunConfig) -> int:
-    net = load_bif(bif)
+def cmd_benchmark(args: argparse.Namespace) -> int:
+    net = load_bif(args.bif)
     names = net.dag.names
-    if config.targets:
+    if args.target:
         try:
-            targets = [net.dag.index_of(t) for t in config.targets]
+            targets = [net.dag.index_of(t) for t in args.target]
         except KeyError as exc:
             raise DatasetError(exc.args[0]) from None
     else:
@@ -157,34 +116,34 @@ def cmd_benchmark(bif: Path, config: RunConfig) -> int:
     report = {
         "schema": SCHEMA_VERSION,
         "command": "benchmark",
-        "network": bif.stem,
+        "network": args.bif.stem,
         "n_vars": net.dag.n_vars,
         "n_edges": net.dag.n_edges,
-        "algo": config.algo,
-        "alpha": config.alpha,
-        "reliability_k": config.reliability_k,
-        "max_cond": config.max_cond,
-        "n_structures": config.n_structures,
-        "seed": config.seed,
-        "runs": config.runs,
+        "algo": args.algo,
+        "alpha": args.alpha,
+        "reliability_k": args.reliability_k,
+        "max_cond": args.max_cond,
+        "n_structures": args.n_structures,
+        "seed": args.seed,
+        "runs": args.runs,
         "targets": [names[t] for t in targets],
         "sizes": [],
     }
     # a fork-based pool forks every worker at the first submit
     _gammaincc()  # so every worker shares the scipy loaded here
-    workers = min(config.workers, len(targets))
+    workers = min(args.workers, len(targets))
     pool = (ProcessPoolExecutor(max_workers=workers)
             if workers > 1 else contextlib.nullcontext())
     with pool as executor:
         mapper = executor.map if executor is not None else map
-        for size in config.sizes:
+        for size in args.sizes:
             size_block = {"size": size, "runs": [], "aggregate": None}
             run_means: list[LocalScore] = []
-            for run in range(config.runs):
-                run_seed = config.seed + run
+            for run in range(args.runs):
+                run_seed = args.seed + run
                 data = sample(net, size, run_seed)
                 scores = list(mapper(_bench_target, repeat(data), repeat(net),
-                                     targets, repeat(config)))
+                                     targets, repeat(args)))
                 mean = {k: v["mean"] for k, v in aggregate(scores).items()}
                 run_means.append(LocalScore(**mean))
                 size_block["runs"].append({
@@ -200,8 +159,8 @@ def cmd_benchmark(bif: Path, config: RunConfig) -> int:
             report["sizes"].append(size_block)
     _print_table(report)
     text = json.dumps(report, indent=2, sort_keys=True)
-    if config.out is not None:
-        config.out.write_text(text + "\n", encoding="utf-8")
+    if args.out is not None:
+        args.out.write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
     return 0
@@ -245,7 +204,8 @@ def _build_parser() -> _ArgumentParser:
                        help="largest separating set the learners search "
                             "(does not affect iamb)")
         p.add_argument("--algo", choices=ALGOS, default="elcs")
-        p.add_argument("--no-n-structures", action="store_true",
+        p.add_argument("--no-n-structures", dest="n_structures",
+                       action="store_false",
                        help="disable the N-structure child rule")
 
     p_sample = sub.add_parser("sample", help="draw rows from a BIF network")
@@ -278,8 +238,7 @@ def _build_parser() -> _ArgumentParser:
 
 
 def run(argv: Sequence[str]) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.command is None:
         raise UsageError("a command is required (sample, learn, benchmark)")
     if args.command == "sample":
@@ -287,31 +246,33 @@ def run(argv: Sequence[str]) -> int:
             raise UsageError("--n must be at least 1")
         if args.seed < 0:
             raise UsageError("--seed must be nonnegative")
-        return cmd_sample(args.bif, args.n, args.seed, args.out)
-
-    config = RunConfig(
-        algo=args.algo,
-        alpha=args.alpha,
-        reliability_k=args.reliability_k,
-        max_cond=args.max_cond,
-        n_structures=not args.no_n_structures,
-        out=args.out,
-    )
+        return cmd_sample(args)
+    if args.command == "benchmark":
+        try:
+            args.sizes = [int(s) for s in args.sizes.split(",")]
+        except ValueError:
+            raise UsageError(f"bad --sizes value {args.sizes!r}") from None
+    if not 0.0 < args.alpha < 1.0:
+        raise UsageError("alpha must be in (0, 1)")
+    if not (math.isfinite(args.reliability_k) and args.reliability_k >= 0):
+        raise UsageError("reliability-k must be finite and nonnegative")
+    if args.max_cond is not None and args.max_cond < 0:
+        raise UsageError("max-cond must be nonnegative")
     if args.command == "learn":
-        config.validate()
-        return cmd_learn(args.data, args.target, config)
-    # benchmark
-    try:
-        sizes = tuple(int(s) for s in args.sizes.split(","))
-    except ValueError:
-        raise UsageError(f"bad --sizes value {args.sizes!r}") from None
-    config.sizes = sizes
-    config.runs = args.runs
-    config.seed = args.seed
-    config.targets = tuple(args.target or ())
-    config.workers = args.workers
-    config.validate()
-    return cmd_benchmark(args.bif, config)
+        return cmd_learn(args)
+    if args.seed < 0:
+        raise UsageError("seed must be nonnegative")
+    if args.runs < 1:
+        raise UsageError("runs must be at least 1")
+    if args.workers < 1:
+        raise UsageError("workers must be at least 1")
+    if any(s < 1 for s in args.sizes):
+        raise UsageError("sizes must be positive")
+    targets = args.target or []
+    for i, t in enumerate(targets):
+        if t in targets[:i]:
+            raise UsageError(f"target {t!r} is given more than once")
+    return cmd_benchmark(args)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -234,6 +234,8 @@ def contingency(data: Dataset, x: int, y: int, z=()) -> ContingencyTable:
     z = sorted(set(z))
     if x == y or x in z or y in z:
         raise DatasetError("x, y and z must be distinct")
+    if min(x, y, *z) < 0 or max(x, y, *z) >= data.n_vars:
+        raise DatasetError("variable index out of range")
     rx, ry = data.cardinalities[x], data.cardinalities[y]
     n = data.n_rows
     code = np.zeros(n, dtype=np.int64)

@@ -223,34 +223,30 @@ def elcs(engine: CiEngine, target: int, n_structures: bool = True
          ) -> ElcsOutcome:
     """Queue-driven local structure learning around ``target``.
 
-    Pops start at the target; each unvisited pop gets a blanket learned
-    and stamped onto the graph, its undecided members are enqueued, and
-    propagation runs. The walk stops when the target has no undirected
-    edge left, when the queue empties, or when every variable has been
-    visited, whichever comes first.
+    Pops start at the target; a visited pop is skipped, and every other
+    pop gets a blanket learned and stamped onto the graph, its undecided
+    members enqueued, and one propagation. The walk stops when the
+    target has no undirected edge left, when the queue empties, or when
+    every variable has been visited, whichever comes first.
     """
     graph = LocalGraph(engine.n_vars)
     queue: deque[int] = deque([target])
     termination = QUEUE_EXHAUSTED
     while queue:
         x = queue.popleft()
-        if x not in graph.visited:
-            graph.visited.add(x)
-            result = emb(engine, x, n_structures=n_structures)
-            if x == target:  # always the first pop
-                target_result = result
-            apply_orientations(graph, x, result)
-            for y in sorted(result.undecided):
-                queue.append(y)
+        if x in graph.visited:
+            continue
+        graph.visited.add(x)
+        result = emb(engine, x, n_structures=n_structures)
+        if x == target:  # always the first pop
+            target_result = result
+        apply_orientations(graph, x, result)
+        queue.extend(sorted(result.undecided))
         meek_closure(graph)
-        _, _, undecided = graph.partition(target)
-        if target in graph.visited and not undecided:
+        if not graph.partition(target)[2]:
             termination = RESOLVED
             break
-        if not queue:
-            termination = QUEUE_EXHAUSTED
-            break
-        if len(graph.visited) == engine.n_vars:
+        if queue and len(graph.visited) == engine.n_vars:
             termination = ALL_VISITED
             break
     parents, children, undecided = graph.partition(target)

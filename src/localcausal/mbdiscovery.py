@@ -192,7 +192,6 @@ def emb(engine: CiEngine, target: int, n_structures: bool = True) -> MbResult:
     recorded so later scans condition on it like any other non-member.
     """
     pc, sepsets = recog_pc(engine, target)
-    sepsets = dict(sepsets)
     while True:
         sp, csp = recog_spouses(engine, target, pc, sepsets)
         pc, sp, found = _remove_false_pc(engine, target, pc, sp)

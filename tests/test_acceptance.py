@@ -9,14 +9,12 @@ reference results come from the independent implementations in
 
 import json
 import time
-from itertools import combinations
 
 import numpy as np
 import pytest
 
 from localcausal import (
     CiEngine,
-    Dag,
     LocalGraph,
     UNDIRECTED,
     aggregate,

@@ -124,14 +124,20 @@ def alarm_sample(tmp_path_factory):
 
 
 @pytest.mark.parametrize("algo", ALGOS)
-@pytest.mark.parametrize("target", ["HR", "TPR"])
-def test_learn_report_matches_python_api(alarm_sample, capsys, algo, target):
+@pytest.mark.parametrize("target, n_structures", [
+    pytest.param(t, ns, id=t if ns else f"{t}-no-n-structures")
+    for t in ("HR", "TPR", "INTUBATION") for ns in (True, False)])
+def test_learn_report_matches_python_api(alarm_sample, capsys, algo, target,
+                                         n_structures):
     # every algorithm's roles, test count and run summary come straight
     # from the learner's own result on a fresh engine; on this sample HR
-    # resolves and TPR exhausts its queue, both with spouses
+    # resolves and TPR exhausts its queue, both with spouses, and
+    # INTUBATION's emb roles and elcs test count move with the N-structure
+    # rule, so a flag that never reached the learner would show
     data, path = alarm_sample
+    flags = [] if n_structures else ["--no-n-structures"]
     assert main(["learn", str(path), "--target", target,
-                 "--algo", algo]) == 0
+                 "--algo", algo, *flags]) == 0
     report = json.loads(capsys.readouterr().out)
     engine = CiEngine.g2(data)
     t = data.index_of(target)
@@ -139,11 +145,11 @@ def test_learn_report_matches_python_api(alarm_sample, capsys, algo, target):
     if algo == "iamb":
         roles, spouses = (set(), set(), iamb(engine, t)), set()
     elif algo == "emb":
-        out = emb(engine, t)
+        out = emb(engine, t, n_structures=n_structures)
         roles = (out.parents, out.children, out.undecided)
         spouses = out.mb - out.pc
     else:
-        out = elcs(engine, t)
+        out = elcs(engine, t, n_structures=n_structures)
         roles = (out.parents, out.children, out.undecided)
         spouses = out.target_result.mb - out.target_result.pc
         mbs, termination = out.mbs_learned, out.termination
@@ -259,6 +265,13 @@ def test_benchmark_report_contents(tmp_path, capsys):
                                        "ci_tests", "time_ms"}
     # the human table is printed alongside the JSON file
     assert "network=trace" in table and "mean" in table
+    assert report["n_structures"] is True
+
+
+def test_benchmark_reports_no_n_structures(tmp_path, capsys):
+    report = bench(tmp_path, "n.json", "--no-n-structures")
+    capsys.readouterr()
+    assert report["n_structures"] is False
 
 
 def test_benchmark_workers_match_serial(tmp_path, capsys):

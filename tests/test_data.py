@@ -335,6 +335,14 @@ def test_contingency_rejects_overlap():
         contingency(data, 0, 1, (1,))
 
 
+@pytest.mark.parametrize("x, y, z", [(-1, 0, ()), (0, 1, (-1,)),
+                                     (0, 1, (99,))])
+def test_contingency_rejects_out_of_range_index(x, y, z):
+    data = small_dataset()
+    with pytest.raises(DatasetError, match="variable index out of range"):
+        contingency(data, x, y, z)
+
+
 def test_contingency_empty_dataset():
     data = Dataset(("a", "b"), (2, 2), np.empty((2, 0), dtype=np.int32))
     table = contingency(data, 0, 1)

@@ -282,6 +282,25 @@ def test_elcs_duplicate_enqueues_visit_once(monkeypatch):
     assert out.mbs_learned == len(learned)
 
 
+@pytest.mark.parametrize("name", ["B", "C", "E"])
+def test_elcs_closes_once_per_blanket(trace_net, monkeypatch, name):
+    # a pop of a visited variable changes nothing, so propagation runs
+    # once per blanket learned and never on a revisit
+    import localcausal.localgraph as localgraph
+
+    calls = []
+
+    def counting_closure(graph):
+        calls.append(len(graph.visited))
+        return meek_closure(graph)
+
+    monkeypatch.setattr(localgraph, "meek_closure", counting_closure)
+    dag = trace_net.dag
+    out = elcs(CiEngine.oracle(dag), dag.index_of(name))
+    assert out.mbs_learned > 1
+    assert calls == list(range(1, out.mbs_learned + 1))
+
+
 def test_elcs_meek_r3_gate_regression():
     # Dense sink: without the visited-witness gate on R3, the first
     # blanket at b sees c -> b and d -> b with c, d not yet adjacent in

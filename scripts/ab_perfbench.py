@@ -13,7 +13,7 @@ must agree for a speed-up to count; the exit status is 1 when they do
 not). Example, from the repository root::
 
     python scripts/ab_perfbench.py ../baseline . --workload oracle-12 \\
-        --seed 31 --pairs 5 --seconds 25
+        --seed 31 --pairs 10 --seconds 25
 """
 
 from __future__ import annotations
@@ -64,9 +64,11 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=25.0)
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     sides = {"baseline": args.baseline, "change": args.change}
     runs = {side: [] for side in sides}
     for i in range(args.pairs):

@@ -268,10 +268,10 @@ def run(argv: Sequence[str]) -> int:
         raise UsageError("workers must be at least 1")
     if any(s < 1 for s in args.sizes):
         raise UsageError("sizes must be positive")
-    targets = args.target or []
-    for i, t in enumerate(targets):
-        if t in targets[:i]:
-            raise UsageError(f"target {t!r} is given more than once")
+    for name, values in (("size", args.sizes), ("target", args.target or [])):
+        for i, v in enumerate(values):
+            if v in values[:i]:
+                raise UsageError(f"{name} {v!r} is given more than once")
     return cmd_benchmark(args)
 
 

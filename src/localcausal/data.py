@@ -180,8 +180,11 @@ def _parse_block(lines: list[str], rownums, names, path) -> np.ndarray:
 
 
 def _load_cards(path: Path, n_vars: int) -> tuple[int, ...]:
-    entries = [ln.strip() for ln in path.read_text(encoding="utf-8").split("\n")]
-    entries = [e for e in entries if e]
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"cannot read {path}: {exc}") from exc
+    entries = [e for e in map(str.strip, text.split("\n")) if e]
     if len(entries) != n_vars:
         raise DatasetError(
             f"{path}: {len(entries)} cardinalities for {n_vars} variables"

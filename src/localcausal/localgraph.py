@@ -1,7 +1,7 @@
 """Local graph state and the queue-driven expansion learner.
 
-The graph stores one mark per unordered variable pair: absent,
-undirected, or directed. Blanket results stamp their orientations onto
+The graph keeps, per variable, the arrows into it, the arrows out of it
+and its undirected edges. Blanket results stamp their orientations onto
 the graph; Meek's rules then propagate orientations between visited
 variables. Expansion (:func:`elcs`) starts at the target, learns a
 blanket per popped variable, and stops as soon as every edge at the
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterator
 
 from .citest import CiEngine
@@ -31,78 +32,73 @@ class Conflict:
 
 
 class LocalGraph:
-    """Pairwise edge marks over ``n_vars`` variables.
+    """Edge marks over ``n_vars`` variables, stored per variable.
 
-    A pair is keyed by its sorted index tuple. Its mark is either
-    missing (absent), the module constant ``UNDIRECTED``, or a
-    ``(src, dst)`` tuple. Directed marks are never overwritten; a
-    contradicting claim is recorded in ``conflicts`` and dropped.
+    ``parents[v]`` holds the arrows into v, ``children[v]`` the arrows
+    out of v and ``undirected[v]`` v's undirected neighbours; an edge
+    sits in the sets of both its ends. Read as a pair, a mark is None
+    (absent), the module constant ``UNDIRECTED``, or a ``(src, dst)``
+    tuple. Directed marks are never overwritten; a contradicting claim
+    is recorded in ``conflicts`` and dropped.
     """
 
     def __init__(self, n_vars: int):
         self.n_vars = n_vars
-        self._marks: dict[tuple[int, int], object] = {}
-        self._adj: dict[int, set[int]] = {}
+        self.parents: list[set[int]] = [set() for _ in range(n_vars)]
+        self.children: list[set[int]] = [set() for _ in range(n_vars)]
+        self.undirected: list[set[int]] = [set() for _ in range(n_vars)]
         self.visited: set[int] = set()
         self.conflicts: list[Conflict] = []
 
-    @staticmethod
-    def _key(a: int, b: int) -> tuple[int, int]:
-        return (a, b) if a < b else (b, a)
-
     def mark(self, a: int, b: int):
         """None (absent), UNDIRECTED, or the (src, dst) direction."""
-        return self._marks.get(self._key(a, b))
+        if b in self.undirected[a]:
+            return UNDIRECTED
+        if b in self.children[a]:
+            return (a, b)
+        return (b, a) if b in self.parents[a] else None
 
     def adjacent(self, a: int, b: int) -> bool:
-        return self._key(a, b) in self._marks
+        return (b in self.undirected[a] or b in self.children[a]
+                or b in self.parents[a])
 
     def neighbors(self, v: int) -> set[int]:
-        return self._adj.get(v, set())
+        return self.parents[v] | self.children[v] | self.undirected[v]
 
     def ensure_undirected(self, a: int, b: int) -> None:
         """Mark the pair undirected if it is currently absent."""
-        key = self._key(a, b)
-        if key not in self._marks:
-            self._marks[key] = UNDIRECTED
-            self._adj.setdefault(a, set()).add(b)
-            self._adj.setdefault(b, set()).add(a)
+        if not self.adjacent(a, b):
+            self.undirected[a].add(b)
+            self.undirected[b].add(a)
 
     def orient(self, src: int, dst: int, source: str = "") -> bool:
         """Direct the pair src -> dst; refuse to flip an existing arrow.
 
         Returns True when the mark now points src -> dst.
         """
-        key = self._key(src, dst)
-        existing = self._marks.get(key)
-        if existing == (src, dst):
-            return True
-        if existing is None or existing == UNDIRECTED:
-            self._marks[key] = (src, dst)
-            self._adj.setdefault(src, set()).add(dst)
-            self._adj.setdefault(dst, set()).add(src)
-            return True
-        self.conflicts.append(Conflict(key, existing, (src, dst), source))
-        return False
+        if dst in self.parents[src]:
+            key = (src, dst) if src < dst else (dst, src)
+            self.conflicts.append(Conflict(key, (dst, src), (src, dst), source))
+            return False
+        self.undirected[src].discard(dst)
+        self.undirected[dst].discard(src)
+        self.children[src].add(dst)
+        self.parents[dst].add(src)
+        return True
 
     def pairs(self) -> Iterator[tuple[tuple[int, int], object]]:
-        yield from sorted(self._marks.items())
+        marks = [((a, b), UNDIRECTED) for a in range(self.n_vars)
+                 for b in self.undirected[a] if a < b]
+        marks += [((min(e), max(e)), e) for e in self.directed_edges()]
+        yield from sorted(marks)
 
     def directed_edges(self) -> list[tuple[int, int]]:
-        return sorted(m for m in self._marks.values() if m is not UNDIRECTED)
+        return sorted((a, b) for a in range(self.n_vars)
+                      for b in self.children[a])
 
     def partition(self, v: int) -> tuple[set[int], set[int], set[int]]:
         """Split v's neighbors by mark: (into v, out of v, undirected)."""
-        parents, children, undecided = set(), set(), set()
-        for u in self.neighbors(v):
-            m = self.mark(u, v)
-            if m == UNDIRECTED:
-                undecided.add(u)
-            elif m == (u, v):
-                parents.add(u)
-            else:
-                children.add(u)
-        return parents, children, undecided
+        return set(self.parents[v]), set(self.children[v]), set(self.undirected[v])
 
 
 def apply_orientations(graph: LocalGraph, target: int, result: MbResult) -> LocalGraph:
@@ -122,38 +118,28 @@ def apply_orientations(graph: LocalGraph, target: int, result: MbResult) -> Loca
 
 
 def _rule_demands(graph: LocalGraph, a: int, b: int) -> bool:
-    """True when some propagation rule wants the arrow a -> b."""
+    """True when some propagation rule wants the undirected a - b to
+    become a -> b."""
     adj = graph.adjacent
-    # R1: w -> a, a - b, w and b non-adjacent  =>  a -> b
-    for w in graph.neighbors(a):
-        if graph.mark(w, a) == (w, a) and w != b and not adj(w, b):
-            return True
-    # R2: a -> w -> b with a - b  =>  a -> b
-    for w in graph.neighbors(a):
-        if graph.mark(a, w) == (a, w) and graph.mark(w, b) == (w, b):
-            return True
-    # R3: a - c, a - d, c -> b, d -> b, c and d non-adjacent  =>  a -> b.
-    # The witnesses' non-adjacency only means something once one of them
+    into_b = graph.parents[b]
+    # R1: w -> a, w and b non-adjacent
+    if any(not adj(w, b) for w in graph.parents[a]):
+        return True
+    # R2: a -> w -> b
+    if graph.children[a] & into_b:
+        return True
+    # R3: a - c, a - d, c -> b, d -> b, c and d non-adjacent. The
+    # witnesses' non-adjacency only means something once one of them
     # has been visited (its neighborhood is then fully recorded); before
     # that, an undiscovered c-d edge could make this rule misfire.
-    undirected_at_a = [w for w in graph.neighbors(a)
-                       if w != b and graph.mark(a, w) == UNDIRECTED]
-    into_b = {w for w in undirected_at_a if graph.mark(w, b) == (w, b)}
-    for c in into_b:
-        for d in into_b:
-            if (c < d and not adj(c, d)
-                    and (c in graph.visited or d in graph.visited)):
-                return True
-    # R4: a - c, c -> d, d -> b, b and c non-adjacent  =>  a -> b
-    # Sound because b -> a would force either a directed cycle through
-    # c .. d .. b .. a or an unmarked collider b -> a <- c.
-    for c in undirected_at_a:
-        if adj(c, b):
-            continue
-        for d in graph.neighbors(c):
-            if graph.mark(c, d) == (c, d) and graph.mark(d, b) == (d, b):
-                return True
-    return False
+    if any(not adj(c, d) and (c in graph.visited or d in graph.visited)
+           for c, d in combinations(graph.undirected[a] & into_b, 2)):
+        return True
+    # R4: a - c, c -> d, d -> b, b and c non-adjacent. Sound because
+    # b -> a would force either a directed cycle through c .. d .. b .. a
+    # or an unmarked collider b -> a <- c.
+    return any(not adj(c, b) and graph.children[c] & into_b
+               for c in graph.undirected[a] - {b})
 
 
 def meek_closure(graph: LocalGraph) -> LocalGraph:
@@ -161,36 +147,28 @@ def meek_closure(graph: LocalGraph) -> LocalGraph:
 
     Each sweep evaluates every rule against the current marks and only
     then applies the demanded arrows, so the result does not depend on
-    scan order. Only pairs whose two endpoints have been visited are
-    eligible for orientation; rule premises may use any mark. A pair
-    demanded in both directions within one sweep is left undirected and
-    logged as a conflict.
+    scan order. Only undirected pairs whose two endpoints have been
+    visited are eligible for orientation; rule premises may use any
+    mark. A pair demanded in both directions within one sweep is left
+    undirected and logged once as a ``meek-contested`` conflict.
     """
     while True:
-        demands: dict[tuple[int, int], set[tuple[int, int]]] = {}
-        for (a, b), mark in graph.pairs():
-            if mark != UNDIRECTED:
-                continue
-            if a not in graph.visited or b not in graph.visited:
-                continue
-            if _rule_demands(graph, a, b):
-                demands.setdefault((a, b), set()).add((a, b))
-            if _rule_demands(graph, b, a):
-                demands.setdefault((a, b), set()).add((b, a))
-        changed = False
-        for key in sorted(demands):
-            want = demands[key]
-            if len(want) == 2:
-                first, second = sorted(want)
-                if not any(c.pair == key for c in graph.conflicts):
-                    graph.conflicts.append(
-                        Conflict(key, UNDIRECTED, first, "meek-contested"))
-                continue
-            (src, dst), = want
-            if graph.orient(src, dst, source="meek"):
-                changed = True
-        if not changed:
+        demands = []
+        for a in graph.visited:
+            for b in graph.undirected[a] & graph.visited:
+                if a > b:
+                    continue
+                forward, back = _rule_demands(graph, a, b), _rule_demands(graph, b, a)
+                if forward and back:
+                    if not any(c.pair == (a, b) for c in graph.conflicts):
+                        graph.conflicts.append(
+                            Conflict((a, b), UNDIRECTED, (a, b), "meek-contested"))
+                elif forward or back:
+                    demands.append((a, b) if forward else (b, a))
+        if not demands:
             return graph
+        for src, dst in demands:
+            graph.orient(src, dst, source="meek")
 
 
 @dataclass
@@ -243,7 +221,7 @@ def elcs(engine: CiEngine, target: int, n_structures: bool = True
         apply_orientations(graph, x, result)
         queue.extend(sorted(result.undecided))
         meek_closure(graph)
-        if not graph.partition(target)[2]:
+        if not graph.undirected[target]:
             termination = RESOLVED
             break
         if queue and len(graph.visited) == engine.n_vars:

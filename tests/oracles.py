@@ -15,7 +15,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 
-from localcausal import CptNetwork, Dag, Dataset, DatasetError
+from localcausal import UNDIRECTED, CptNetwork, Dag, Dataset, DatasetError
 from localcausal.bnet import topo_order
 
 
@@ -170,6 +170,57 @@ def random_dag_fixed_edges(rng: np.random.Generator, n: int,
         parents[order[j]].add(int(order[i]))
     names = tuple(f"V{i}" for i in range(n))
     return Dag(names, tuple(frozenset(s) for s in parents))
+
+
+def meek_closure_brute(marks: dict, visited) -> tuple[dict, set]:
+    """Meek's rules R1-R4 to a fixed point by trying every triple and
+    quadruple of variables.
+
+    ``marks`` maps a sorted pair to ``UNDIRECTED`` or its ``(src, dst)``
+    arrow. Each sweep collects the arrows every rule demands on the
+    undirected pairs whose ends are both visited, then applies them all
+    at once; R3 also needs one of its two witnesses visited. A pair
+    demanded both ways stays undirected for that sweep. Returns the
+    closed marks and the pairs that were ever demanded both ways.
+    """
+    marks = dict(marks)
+    nodes = sorted({v for pair in marks for v in pair})
+
+    def mark(a, b):
+        return marks.get((min(a, b), max(a, b)))
+
+    def arrow(a, b):
+        return mark(a, b) == (a, b)
+
+    def line(a, b):
+        return mark(a, b) == UNDIRECTED
+
+    def demanded(a, b):
+        rest = [v for v in nodes if v not in (a, b)]
+        r1 = any(arrow(w, a) and mark(w, b) is None for w in rest)
+        r2 = any(arrow(a, w) and arrow(w, b) for w in rest)
+        r3 = any(line(a, c) and line(a, d) and arrow(c, b) and arrow(d, b)
+                 and mark(c, d) is None and (c in visited or d in visited)
+                 for c, d in itertools.combinations(rest, 2))
+        r4 = any(line(a, c) and arrow(c, d) and arrow(d, b)
+                 and mark(c, b) is None
+                 for c, d in itertools.permutations(rest, 2))
+        return r1 or r2 or r3 or r4
+
+    contested = set()
+    while True:
+        new = {}
+        for (a, b), m in marks.items():
+            if m != UNDIRECTED or a not in visited or b not in visited:
+                continue
+            want = [e for e in ((a, b), (b, a)) if demanded(*e)]
+            if len(want) == 2:
+                contested.add((a, b))
+            elif want:
+                new[(a, b)] = want[0]
+        if not new:
+            return marks, contested
+        marks.update(new)
 
 
 def random_network(rng: np.random.Generator, dag: Dag,

@@ -217,15 +217,16 @@ def test_learn_internal_key_error_is_exit_3(sampled, capsys, monkeypatch):
     ("99999999999\n", None),
     ("0\n1\n", "\u00b2\n"),
     (b"\xff\n", None),
+    ("0\n1\n", b"\xff\n"),
 ])
 def test_learn_bad_csv_is_exit_2(tmp_path, capsys, rows, card):
+    def utf8(text):
+        return text if isinstance(text, bytes) else text.encode("utf-8")
+
     csv = tmp_path / "d.csv"
-    if isinstance(rows, bytes):
-        csv.write_bytes(b"T\n" + rows)
-    else:
-        csv.write_text("T\n" + rows, encoding="utf-8")
+    csv.write_bytes(b"T\n" + utf8(rows))
     if card is not None:
-        csv.with_suffix(".card").write_text(card, encoding="utf-8")
+        csv.with_suffix(".card").write_bytes(utf8(card))
     assert main(["learn", str(csv), "--target", "T"]) == 2
     assert "data error" in capsys.readouterr().err
 
@@ -344,3 +345,11 @@ def test_benchmark_repeated_target_is_usage_error(capsys):
                  "--target", "T", "--target", "A", "--target", "T"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and "'T'" in err
+
+
+def test_benchmark_repeated_size_is_usage_error(capsys):
+    # a size given twice would rerun the same seeds on the same samples
+    assert main(["benchmark", TRACE, "--sizes", "100,200,100",
+                 "--target", "T"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: size 100 ")

@@ -14,7 +14,7 @@ from localcausal import (
 )
 from localcausal.localgraph import Conflict
 
-from oracles import random_dag
+from oracles import meek_closure_brute, random_dag
 
 
 def test_marks_and_neighbors():
@@ -154,6 +154,17 @@ def test_meek_contested_pair_stays_undirected():
     assert any(c.source == "meek-contested" for c in g.conflicts)
 
 
+def test_meek_contested_pair_logged_once():
+    g = meek_fixture(4, directed=[(0, 1), (3, 2)], undirected=[(1, 2)],
+                     visited=[0, 1, 2, 3])
+    meek_closure(g)
+    meek_closure(g)
+    assert g.conflicts == [
+        Conflict(pair=(1, 2), existing=UNDIRECTED, claimed=(1, 2),
+                 source="meek-contested"),
+    ]
+
+
 def random_pdag(rng):
     """A random partial orientation of a random DAG, everything visited."""
     dag = random_dag(rng)
@@ -206,6 +217,33 @@ def test_meek_idempotent_and_order_independent():
         meek_closure(twin)
         inverse = {p: i for i, p in enumerate(perm)}
         assert marks_of(relabeled(twin, inverse)) == first
+
+
+def test_meek_matches_brute_force_with_some_variables_visited():
+    # Like the graph elcs grows: an edge is known only if one of its
+    # ends is visited, so unvisited R3 witnesses can look non-adjacent
+    # when they are not. Arrows are drawn either way along the DAG's
+    # edges, so rules can also contest a pair.
+    rng = np.random.Generator(np.random.PCG64(4242))
+    contested = 0
+    for _ in range(300):
+        dag = random_dag(rng, p=0.6)
+        g = LocalGraph(dag.n_vars)
+        g.visited = {v for v in range(dag.n_vars) if rng.random() < 0.5}
+        for a, b in dag.edges():
+            if a not in g.visited and b not in g.visited:
+                continue
+            r = rng.random()
+            if r < 0.5:
+                g.ensure_undirected(a, b)
+            else:
+                g.orient(*((a, b) if r < 0.9 else (b, a)))
+        want, want_contested = meek_closure_brute(marks_of(g), g.visited)
+        meek_closure(g)
+        assert marks_of(g) == want
+        assert {c.pair for c in g.conflicts} == want_contested
+        contested += bool(want_contested)
+    assert contested > 0
 
 
 def test_elcs_trace_resolves_in_one_blanket(trace_net):

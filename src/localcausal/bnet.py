@@ -131,21 +131,27 @@ def d_separated(dag: Dag, x: int, y: int, z: Iterable[int] = ()) -> bool:
     Bayes-ball reachability (Shachter, UAI 1998) over the int bitsets of
     :attr:`Dag.bitsets`, one whole frontier per step; Python ints have no
     width limit. A trail passes a non-collider only outside z, and a
-    collider only when the node or one of its descendants is in z. Raises
-    ValueError for an index outside ``range(dag.n_vars)`` and when x, y
-    and z overlap.
+    collider only when the node or one of its descendants is in z; given
+    z = ∅, x and y are d-connected exactly when they share an
+    ancestor-or-self. Indexes go through ``operator.index``, z's in the
+    loop that builds its bitsets. Raises ValueError for an index outside
+    ``range(dag.n_vars)`` and when x, y and z overlap.
     """
-    z = frozenset(map(index, z))  # as Python ints: NumPy's would wrap past 64 bits
-    x, y, n = index(x), index(y), dag.n_vars
-    if not (0 <= x < n and 0 <= y < n) or (z and (min(z) < 0 or max(z) >= n)):
-        raise ValueError("variable index out of range")
-    if x == y or x in z or y in z:
-        raise ValueError("x, y and z must be distinct")
+    x, y, n = index(x), index(y), len(dag.names)
     parents, children, ancestors = dag.bitsets
+    if not (0 <= x < n and 0 <= y < n):
+        raise ValueError("variable index out of range")
     blocked = opened = 0  # z, and the colliders it opens: z and its ancestors
     for v in z:
+        v = index(v)  # a Python int: NumPy's would wrap past 64 bits
+        if not 0 <= v < n:
+            raise ValueError("variable index out of range")
         blocked |= 1 << v
         opened |= ancestors[v]
+    if x == y or (blocked >> x | blocked >> y) & 1:
+        raise ValueError("x, y and z must be distinct")
+    if not blocked:
+        return not ancestors[x] & ancestors[y]
     # up: reached from a child, or the start; down: reached from a parent.
     up = new_up = 1 << x
     down = new_down = 0

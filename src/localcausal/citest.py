@@ -6,11 +6,13 @@ known DAG. Learners only ever talk to the engine, so swapping data for
 ground truth never touches algorithm code. The engine answers and counts
 every query; reported test counts in benchmarks are exactly this
 counter. Beneath the counter each engine memoises its results, so a
-repeated query costs a lookup but still counts as a test. An
-unconditional data query that misses the store computes its first
-variable against every other variable in one pass (a row fill), bit for
-bit as the per-pair path would. scipy is imported at the first G²
-p-value: oracle learning, BIF parsing, sampling and CSV I/O never load it.
+repeated query costs a lookup but still counts as a test; a query is
+checked only at its miss. An unconditional data query that misses the
+store computes its first variable against every other variable in one
+pass (a row fill), bit for bit as the per-pair path would; under the
+oracle it is one AND of two ancestor bitsets. scipy is imported at the
+first G² p-value: oracle learning, BIF parsing, sampling and CSV I/O
+never load it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import lt
 from typing import Iterable, Optional
 
 import numpy as np
@@ -162,29 +165,35 @@ class CiEngine:
         """Test x against y given z. Every call increments the counter,
         repeats included; only a query not seen before is computed.
 
+        A query is checked once, at its miss, and only valid keys are
+        stored, so a hit returns at once; a strictly increasing tuple z is
+        the key as it stands. A bad index or an overlap of x, y and z
+        raises ValueError, under the oracle from :func:`d_separated`.
         On data, a miss with empty z computes x against every other
         variable in one pass and stores each pair it has not stored yet.
         Ask unconditional queries with the variable being scanned first,
         so that one row answers the whole scan.
         """
-        z = tuple(sorted(set(z))) if type(z) is not tuple or z else ()
-        n = self._n_vars
-        if not (0 <= x < n and 0 <= y < n) or (z and (z[0] < 0 or z[-1] >= n)):
-            raise ValueError("variable index out of range")
-        if x == y or x in z or y in z:
-            raise ValueError("x, y and z must be distinct")
+        if type(z) is not tuple or (len(z) > 1 and not all(map(lt, z, z[1:]))):
+            z = tuple(sorted(set(z)))
         key = (x, y, z) if x < y else (y, x, z)
-        self._count += 1
         result = self._results.get(key)
         if result is None:
             if self._dag is not None:
                 result = self._results[key] = (
                     _SEPARATED if d_separated(self._dag, *key) else _CONNECTED)
-            elif z:
-                result = self._results[key] = self._compute(*key)
             else:
-                self._fill_row(x)
-                result = self._results[key]
+                n = self._n_vars
+                if not (0 <= x < n and 0 <= y < n) or (z and (z[0] < 0 or z[-1] >= n)):
+                    raise ValueError("variable index out of range")
+                if x == y or x in z or y in z:
+                    raise ValueError("x, y and z must be distinct")
+                if z:
+                    result = self._results[key] = self._compute(*key)
+                else:
+                    self._fill_row(x)
+                    result = self._results[key]
+        self._count += 1
         return result
 
     def _compute(self, x: int, y: int, z: tuple[int, ...]) -> CiResult:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterator
 
 from .citest import CiEngine
 from .mbdiscovery import MbResult, emb
@@ -36,10 +35,11 @@ class LocalGraph:
 
     ``parents[v]`` holds the arrows into v, ``children[v]`` the arrows
     out of v and ``undirected[v]`` v's undirected neighbours; an edge
-    sits in the sets of both its ends. Read as a pair, a mark is None
-    (absent), the module constant ``UNDIRECTED``, or a ``(src, dst)``
-    tuple. Directed marks are never overwritten; a contradicting claim
-    is recorded in ``conflicts`` and dropped.
+    sits in the sets of both its ends, and callers read these sets
+    directly. Directed marks are never overwritten; a contradicting
+    claim is recorded in ``conflicts`` and dropped, with the existing
+    mark given as its ``(src, dst)`` arrow or the module constant
+    ``UNDIRECTED``.
     """
 
     def __init__(self, n_vars: int):
@@ -50,20 +50,9 @@ class LocalGraph:
         self.visited: set[int] = set()
         self.conflicts: list[Conflict] = []
 
-    def mark(self, a: int, b: int):
-        """None (absent), UNDIRECTED, or the (src, dst) direction."""
-        if b in self.undirected[a]:
-            return UNDIRECTED
-        if b in self.children[a]:
-            return (a, b)
-        return (b, a) if b in self.parents[a] else None
-
     def adjacent(self, a: int, b: int) -> bool:
         return (b in self.undirected[a] or b in self.children[a]
                 or b in self.parents[a])
-
-    def neighbors(self, v: int) -> set[int]:
-        return self.parents[v] | self.children[v] | self.undirected[v]
 
     def ensure_undirected(self, a: int, b: int) -> None:
         """Mark the pair undirected if it is currently absent."""
@@ -85,12 +74,6 @@ class LocalGraph:
         self.children[src].add(dst)
         self.parents[dst].add(src)
         return True
-
-    def pairs(self) -> Iterator[tuple[tuple[int, int], object]]:
-        marks = [((a, b), UNDIRECTED) for a in range(self.n_vars)
-                 for b in self.undirected[a] if a < b]
-        marks += [((min(e), max(e)), e) for e in self.directed_edges()]
-        yield from sorted(marks)
 
     def directed_edges(self) -> list[tuple[int, int]]:
         return sorted((a, b) for a in range(self.n_vars)

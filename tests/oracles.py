@@ -172,6 +172,19 @@ def random_dag_fixed_edges(rng: np.random.Generator, n: int,
     return Dag(names, tuple(frozenset(s) for s in parents))
 
 
+def graph_marks(graph) -> dict:
+    """A ``LocalGraph``'s edges as ``{(a, b): mark}`` with a < b, read
+    from its per-variable sets: ``UNDIRECTED`` or the ``(src, dst)``
+    arrow. This is the form :func:`meek_closure_brute` takes."""
+    marks = {}
+    for a in range(graph.n_vars):
+        for b in graph.undirected[a]:
+            marks[min(a, b), max(a, b)] = UNDIRECTED
+        for b in graph.children[a]:
+            marks[min(a, b), max(a, b)] = (a, b)
+    return marks
+
+
 def meek_closure_brute(marks: dict, visited) -> tuple[dict, set]:
     """Meek's rules R1-R4 to a fixed point by trying every triple and
     quadruple of variables.

@@ -102,10 +102,9 @@ def test_d_separation_opens_collider_via_descendant():
 
 def test_d_separation_rejects_overlap():
     dag = diamond()
-    with pytest.raises(ValueError):
-        d_separated(dag, 0, 0)
-    with pytest.raises(ValueError):
-        d_separated(dag, 0, 1, (0,))
+    for args in [(0, 0), (0, 1, (0,)), (0, 1, (2, 1)), (1, 1, (2,))]:
+        with pytest.raises(ValueError, match="x, y and z must be distinct"):
+            d_separated(dag, *args)
     # every index must name a variable: no silent answer, no aliasing of
     # a negative index onto the end of the graph
     chain = Dag.from_edges("abc", [("a", "b"), ("b", "c")])
@@ -193,6 +192,26 @@ def test_d_separation_matches_moral_graph_on_large_dags():
             assert d_separated(dag, np.int64(x), np.int64(y),
                                np.array(z, dtype=np.int64)) == answers[-1]
         assert 0 < sum(answers) < len(answers)
+
+
+def test_d_separation_given_the_empty_set_matches_moral_graph_on_large_dags():
+    # z = () is read off the ancestor bitsets: every ordered pair, with
+    # bitsets past one 64-bit word on child10 and the random DAGs
+    for dag in large_dags():
+        answers = [d_separated(dag, x, y, ()) for x in range(dag.n_vars)
+                   for y in range(dag.n_vars) if x != y]
+        want = [d_separated_moral(dag, x, y, ()) for x in range(dag.n_vars)
+                for y in range(dag.n_vars) if x != y]
+        assert answers == want
+        assert 0 < sum(answers) < len(answers)
+
+
+def test_d_separation_rejects_non_integer_indexes():
+    dag = diamond()
+    for args in [(0.0, 3), (0, 3.0), ("0", 3), (0, 3, (1.0,)), (0, 3, (1, "2")),
+                 (0, 3, (None,)), (0, None)]:
+        with pytest.raises(TypeError):
+            d_separated(dag, *args)
 
 
 def test_true_mb_trace(trace_net):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -14,6 +15,7 @@ from localcausal import (
     CiEngine,
     Dag,
     Dataset,
+    DatasetError,
     chi2_sf,
     contingency,
     emb,
@@ -194,20 +196,63 @@ def test_engine_counter_is_monotone():
     assert eng.test_count == before + 3
 
 
-def test_engine_rejects_bad_indexes():
-    eng = CiEngine.oracle(chain_dag())
-    with pytest.raises(ValueError):
-        eng.ci_test(0, 0)
-    with pytest.raises(ValueError):
-        eng.ci_test(0, 1, (0,))
-    with pytest.raises(ValueError):
-        eng.ci_test(0, 5)
-    with pytest.raises(ValueError):
-        eng.ci_test(0, 1, (7,))
-    with pytest.raises(ValueError):
-        eng.ci_test(-1, 1)
-    with pytest.raises(ValueError):
-        eng.ci_test(0, 1, (-1,))
+def engine_makers(alarm_net):
+    """Fresh-engine factories over alarm: data, then the oracle."""
+    data = sample(alarm_net, 500, 2)
+    return [lambda: CiEngine.g2(data), lambda: CiEngine.oracle(alarm_net.dag)]
+
+
+RANGE, OVERLAP = "variable index out of range", "x, y and z must be distinct"
+BAD_QUERIES = [
+    ((3, 3, ()), OVERLAP), ((3, 3, (5,)), OVERLAP), ((3, 5, (3,)), OVERLAP),
+    ((3, 5, (5,)), OVERLAP), ((5, 3, (1, 5, 8)), OVERLAP),
+    ((3, 5, [8, 3, 1]), OVERLAP), ((37, 5, ()), RANGE), ((5, 37, ()), RANGE),
+    ((-1, 5, ()), RANGE), ((5, -1, (1,)), RANGE), ((3, 5, (37,)), RANGE),
+    ((3, 5, (-1,)), RANGE), ((3, 5, (1, 40)), RANGE), ((3, 5, (-2, 8)), RANGE),
+    ((3, 5, {8, 99}), RANGE),
+]
+
+
+def test_engine_rejects_bad_indexes(alarm_net):
+    # each query is checked at its miss, by the engine on data and by
+    # d_separated under the oracle: either way a plain ValueError, never
+    # a DatasetError (exit 2, "bad data") for what is a caller's bug;
+    # and a store that holds the valid keys around a bad query still
+    # does not answer it
+    near = [0, 1, 3, 5, 8, 36]
+    valid = [(x, y, z) for x in near for y in near if x != y
+             for k in range(3) for z in itertools.combinations(
+                 [v for v in near if v not in (x, y)], k)]
+    for make in engine_makers(alarm_net):
+        fresh, warm = make(), make()
+        for x, y, z in valid:
+            warm.ci_test(x, y, z)
+        for engine in (fresh, warm):
+            count = engine.test_count
+            for (x, y, z), message in BAD_QUERIES:
+                with pytest.raises(ValueError, match=message) as info:
+                    engine.ci_test(x, y, z)
+                assert not isinstance(info.value, DatasetError), (x, y, z)
+            assert engine.test_count == count
+
+
+def test_engine_canonicalises_z_before_the_lookup(alarm_net, monkeypatch):
+    # z in any order, with repeats, as a list, set or array, or of NumPy
+    # ints finds the stored key: no backend call, and the query counts
+    calls = counting(monkeypatch)
+    x, y, z = 5, 3, (1, 8, 12)
+    for make in engine_makers(alarm_net):
+        variants = [(8, 1, 12), (12, 8, 1, 8), [1, 12, 8], {12, 1, 8},
+                    frozenset(z), np.array([12, 1, 8]), iter([8, 12, 1]),
+                    tuple(np.int64(v) for v in z), np.array(z, dtype=np.int32)]
+        engine = make()
+        stored = engine.ci_test(x, y, z)
+        calls.clear()
+        for i, w in enumerate(variants, start=1):
+            assert engine.ci_test(x, y, w) is stored
+            assert engine.ci_test(np.int64(y), x, z) is stored
+            assert engine.test_count == 1 + 2 * i
+        assert calls == []
 
 
 def test_engine_conditioning_budget():

@@ -14,19 +14,21 @@ from localcausal import (
 )
 from localcausal.localgraph import Conflict
 
-from oracles import meek_closure_brute, random_dag
+from oracles import graph_marks, meek_closure_brute, random_dag
 
 
 def test_marks_and_neighbors():
     g = LocalGraph(4)
-    assert g.mark(0, 1) is None and not g.adjacent(0, 1)
+    assert not g.adjacent(0, 1) and graph_marks(g) == {}
     g.ensure_undirected(1, 0)
-    assert g.mark(0, 1) == UNDIRECTED
-    assert g.neighbors(0) == {1} and g.neighbors(1) == {0}
+    assert g.undirected == [{1}, {0}, set(), set()]
+    assert g.adjacent(0, 1) and g.adjacent(1, 0)
     # already-marked pairs are left alone
     g.orient(0, 1)
     g.ensure_undirected(0, 1)
-    assert g.mark(1, 0) == (0, 1)
+    assert graph_marks(g) == {(0, 1): (0, 1)}
+    assert g.children[0] == {1} and g.parents[1] == {0}
+    assert not any(g.undirected) and not g.parents[0] and not g.children[1]
 
 
 def test_orient_never_flips():
@@ -34,7 +36,7 @@ def test_orient_never_flips():
     assert g.orient(0, 1, source="first")
     assert g.orient(0, 1)  # same direction is fine
     assert not g.orient(1, 0, source="second")
-    assert g.mark(0, 1) == (0, 1)
+    assert graph_marks(g) == {(0, 1): (0, 1)}
     assert g.conflicts == [
         Conflict(pair=(0, 1), existing=(0, 1), claimed=(1, 0),
                  source="second"),
@@ -59,10 +61,11 @@ def test_apply_orientations_trace(trace_net):
     expect = {(ix("E"), t), (ix("J"), t), (t, ix("A")), (t, ix("B")),
               (t, ix("K")), (t, ix("L"))}
     assert set(g.directed_edges()) == expect
-    assert len(list(g.pairs())) == 6  # no undirected leftovers
+    marks = graph_marks(g)
+    assert len(marks) == 6  # no undirected leftovers
 
     again = apply_orientations(g, t, result)
-    assert list(again.pairs()) == list(g.pairs())
+    assert graph_marks(again) == marks
     assert again.conflicts == []
 
 
@@ -74,7 +77,7 @@ def test_apply_orientations_conflict(trace_net):
     g = LocalGraph(dag.n_vars)
     g.orient(t, e, source="preset")  # wrong way on purpose
     apply_orientations(g, t, result)
-    assert g.mark(t, e) == (t, e)  # existing arrow wins
+    assert e in g.children[t] and e not in g.parents[t]  # existing arrow wins
     assert any(c.pair == (min(t, e), max(t, e)) for c in g.conflicts)
 
 
@@ -93,7 +96,7 @@ def test_meek_r1():
     g = meek_fixture(3, directed=[(0, 1)], undirected=[(1, 2)],
                      visited=[0, 1, 2])
     meek_closure(g)
-    assert g.mark(1, 2) == (1, 2)
+    assert 2 in g.children[1]
 
 
 def test_meek_r2():
@@ -101,7 +104,7 @@ def test_meek_r2():
     g = meek_fixture(3, directed=[(0, 1), (1, 2)], undirected=[(0, 2)],
                      visited=[0, 1, 2])
     meek_closure(g)
-    assert g.mark(0, 2) == (0, 2)
+    assert 2 in g.children[0]
 
 
 def test_meek_r3_needs_a_visited_witness():
@@ -112,10 +115,10 @@ def test_meek_r3_needs_a_visited_witness():
     meek_closure(g)
     # neither witness visited: an undiscovered c - d edge could still
     # exist, so the rule must hold its fire
-    assert g.mark(0, 1) == UNDIRECTED
+    assert 1 in g.undirected[0]
     g = meek_fixture(4, visited=[0, 1, 2], **base)
     meek_closure(g)
-    assert g.mark(0, 1) == (0, 1)
+    assert 1 in g.children[0]
 
 
 def test_meek_r4():
@@ -126,23 +129,21 @@ def test_meek_r4():
                      undirected=[(0, 1), (0, 2), (0, 3)],
                      visited=[0, 1, 2, 3])
     meek_closure(g)
-    assert g.mark(0, 1) == (0, 1)
-    assert g.mark(0, 2) == UNDIRECTED
-    assert g.mark(0, 3) == UNDIRECTED
+    assert g.children[0] == {1} and g.undirected[0] == {2, 3}
 
 
 def test_meek_undirected_triangle_is_fixed_point():
     g = meek_fixture(3, undirected=[(0, 1), (1, 2), (0, 2)],
                      visited=[0, 1, 2])
     meek_closure(g)
-    assert all(mark == UNDIRECTED for _, mark in g.pairs())
+    assert set(graph_marks(g).values()) == {UNDIRECTED}
 
 
 def test_meek_skips_unvisited_pairs():
     g = meek_fixture(3, directed=[(0, 1)], undirected=[(1, 2)],
                      visited=[0, 1])
     meek_closure(g)
-    assert g.mark(1, 2) == UNDIRECTED
+    assert 2 in g.undirected[1]
 
 
 def test_meek_contested_pair_stays_undirected():
@@ -150,7 +151,7 @@ def test_meek_contested_pair_stays_undirected():
     g = meek_fixture(4, directed=[(0, 1), (3, 2)], undirected=[(1, 2)],
                      visited=[0, 1, 2, 3])
     meek_closure(g)
-    assert g.mark(1, 2) == UNDIRECTED
+    assert 2 in g.undirected[1]
     assert any(c.source == "meek-contested" for c in g.conflicts)
 
 
@@ -180,7 +181,7 @@ def random_pdag(rng):
 
 def relabeled(g, perm):
     out = LocalGraph(g.n_vars)
-    for (a, b), mark in g.pairs():
+    for (a, b), mark in graph_marks(g).items():
         if mark == UNDIRECTED:
             out.ensure_undirected(perm[a], perm[b])
         else:
@@ -189,22 +190,18 @@ def relabeled(g, perm):
     return out
 
 
-def marks_of(g):
-    return dict(g.pairs())
-
-
 def test_meek_idempotent_and_order_independent():
     rng = np.random.Generator(np.random.PCG64(1234))
     for _ in range(100):
         g = random_pdag(rng)
-        before = marks_of(g)
+        before = graph_marks(g)
         perm = list(rng.permutation(g.n_vars))
         twin = relabeled(g, perm)
 
         meek_closure(g)
-        first = marks_of(g)
+        first = graph_marks(g)
         meek_closure(g)
-        assert marks_of(g) == first  # idempotent
+        assert graph_marks(g) == first  # idempotent
 
         # monotone: nothing is deleted or un-directed
         for key, mark in before.items():
@@ -216,7 +213,7 @@ def test_meek_idempotent_and_order_independent():
         # variables and mapping back must land on the same fixed point
         meek_closure(twin)
         inverse = {p: i for i, p in enumerate(perm)}
-        assert marks_of(relabeled(twin, inverse)) == first
+        assert graph_marks(relabeled(twin, inverse)) == first
 
 
 def test_meek_matches_brute_force_with_some_variables_visited():
@@ -238,9 +235,9 @@ def test_meek_matches_brute_force_with_some_variables_visited():
                 g.ensure_undirected(a, b)
             else:
                 g.orient(*((a, b) if r < 0.9 else (b, a)))
-        want, want_contested = meek_closure_brute(marks_of(g), g.visited)
+        want, want_contested = meek_closure_brute(graph_marks(g), g.visited)
         meek_closure(g)
-        assert marks_of(g) == want
+        assert graph_marks(g) == want
         assert {c.pair for c in g.conflicts} == want_contested
         contested += bool(want_contested)
     assert contested > 0
@@ -289,8 +286,7 @@ def test_elcs_collider_chain(collider_chain_net):
     assert out.termination == "resolved"
     assert out.graph.visited == {dag.index_of(v) for v in "TYZ"}
     y, z = dag.index_of("Y"), dag.index_of("Z")
-    assert out.graph.mark(y, t) == (y, t)
-    assert out.graph.mark(t, z) == (t, z)
+    assert y in out.graph.parents[t] and z in out.graph.children[t]
 
 
 def test_elcs_chain_is_unidentifiable():

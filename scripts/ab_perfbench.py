@@ -6,9 +6,12 @@ once in the changed one, at the same workload, seed and ``--seconds``;
 the side that runs first alternates from pair to pair, so that drift in
 the machine's load falls on both sides alike. The summary gives, per
 checkout, the median and interquartile range of ``run_s``, ``setup_s``,
-``peak_rss_mb`` and ``first_pass_s`` (the first pass's seconds, where a
-one-time cost moved out of set-up shows), the pairs the change won,
-every run's pass count, and the answers digests and ``ci_tests`` (which
+``peak_rss_mb``, ``first_pass_s`` (the first pass's seconds, where a
+one-time cost moved out of set-up shows) and every other seconds-valued
+entry of the report's ``end_to_end`` (on ``io-100k`` the first pass's
+``sample_s``, ``save_s`` and ``load_s``, so an I/O change shows which
+phase its saving came from), the pairs the change won, every run's
+pass count, and the answers digests and ``ci_tests`` (which
 must agree for a speed-up to count; the exit status is 1 when they do
 not). Before the first pair, ``src/`` and ``perfbench/`` of both
 checkouts are byte-compiled with ``python -m compileall -q``: with
@@ -46,8 +49,10 @@ def run_once(checkout: Path, args) -> dict:
                 if ln.startswith('{"report"'))
     report = json.loads(line)["report"]
     e2e = report["end_to_end"]
-    out = {m: e2e[m]["value"] for m in METRICS}
-    out.update(first_pass_s=report["passes"][0],
+    phases = sorted(k for k, v in e2e.items()
+                    if v["unit"] == "s" and k not in METRICS)
+    out = {m: e2e[m]["value"] for m in (*METRICS, *phases)}
+    out.update(phases=phases, first_pass_s=report["passes"][0],
                passes=len(report["passes"]), digest=report["digest"],
                ci_tests=e2e.get("ci_tests", {}).get("value"),
                fail_frac=e2e["fail_frac"]["value"],
@@ -88,12 +93,15 @@ def main(argv=None) -> int:
                   f"setup_s={r['setup_s']:.3f} "
                   f"first_pass_s={r['first_pass_s']:.3f} "
                   f"peak_rss_mb={r['peak_rss_mb']:.2f} passes={r['passes']} "
+                  + "".join(f"{p}={r[p]:.3f} " for p in r["phases"]) +
                   f"digest={r['digest']} ci_tests={r['ci_tests']} "
                   f"fail_frac={r['fail_frac']} problems={r['problems']}",
                   flush=True)
     print(f"\n{args.workload} seed={args.seed} pairs={args.pairs} "
           f"seconds={args.seconds}")
-    for metric in METRICS + ("first_pass_s",):
+    phases = [p for p in runs["baseline"][0]["phases"]
+              if p in runs["change"][0]["phases"]]
+    for metric in (*METRICS, "first_pass_s", *phases):
         base, new = ([r[metric] for r in runs[s]] for s in sides)
         (bm, biq), (nm, niq) = spread(base), spread(new)
         better = sum(n < b for b, n in zip(base, new))

@@ -101,10 +101,19 @@ def load_csv(path: str | Path) -> Dataset:
     line, header order) it fixes the cardinalities, and it is the only
     way to fix them; otherwise they are inferred as ``max code + 1`` per
     column (floored at 2 so the type invariant holds).
+
+    A body in ``save_csv``'s one-digit layout (one-digit cells joined by
+    ``,``, every line ended by ``\\n``) is validated and reshaped block by
+    block; any other file goes to the general parser. Both readers give
+    the same dataset, or the same error, for any file.
     """
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").split("\n")
+        raw = path.read_bytes()
+        lines, columns = _read_one_digit(raw)
+        if columns is None:  # as read_text decodes: same errors, universal newlines
+            text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+            lines = text.split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     if not lines[-1]:
@@ -117,17 +126,18 @@ def load_csv(path: str | Path) -> Dataset:
     if len(set(names)) != len(names):
         raise DatasetError(f"{path}: duplicate name in header")
 
-    columns = np.empty((len(names), len(lines) - 1), dtype=np.int32)
-    kept = 0
-    for start in range(1, len(lines), _BLOCK_ROWS):
-        block = lines[start:start + _BLOCK_ROWS]
-        rownums = range(start, start + len(block))
-        if not all(map(str.strip, block)):
-            rownums = [r for r in rownums if lines[r].strip()]
-            block = [lines[r] for r in rownums]
-        columns[:, kept:kept + len(block)] = _parse_block(block, rownums, names, path)
-        kept += len(block)
-    columns = np.ascontiguousarray(columns[:, :kept])
+    if columns is None:
+        columns = np.empty((len(names), len(lines) - 1), dtype=np.int32)
+        kept = 0
+        for start in range(1, len(lines), _BLOCK_ROWS):
+            block = lines[start:start + _BLOCK_ROWS]
+            rownums = range(start, start + len(block))
+            if not all(map(str.strip, block)):
+                rownums = [r for r in rownums if lines[r].strip()]
+                block = [lines[r] for r in rownums]
+            columns[:, kept:kept + len(block)] = _parse_block(block, rownums, names, path)
+            kept += len(block)
+        columns = np.ascontiguousarray(columns[:, :kept])
 
     sidecar = _card_path(path)
     if sidecar.exists():
@@ -136,6 +146,30 @@ def load_csv(path: str | Path) -> Dataset:
         maxima = columns.max(axis=1, initial=-1)
         cardinalities = tuple(max(int(m) + 1, 2) for m in maxima)
     return Dataset(names, cardinalities, columns)
+
+
+def _read_one_digit(raw: bytes):
+    """The header line, split at its line end, and the int32 columns of a
+    file whose body is ``save_csv``'s one-digit layout; (None, None) for
+    any other file."""
+    end = raw.find(b"\n") + 1
+    try:
+        lines = raw[:end].decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        return None, None
+    n_vars = lines[0].count(",") + 1
+    if "\r" in lines[0] or (len(raw) - end) % (2 * n_vars):
+        return None, None
+    cells = np.frombuffer(raw, dtype=np.uint8, offset=end).reshape(-1, n_vars, 2)
+    seps = np.frombuffer(b"," * (n_vars - 1) + b"\n", dtype=np.uint8)
+    columns = np.empty((n_vars, len(cells)), dtype=np.int32)
+    for start in range(0, len(cells), _BLOCK_ROWS):
+        block = cells[start:start + _BLOCK_ROWS]
+        digits = block[..., 0] - np.uint8(ord("0"))  # bytes below "0" wrap
+        if digits.max() > 9 or (block[..., 1] != seps).any():
+            return None, None
+        columns[:, start:start + len(block)] = digits.T
+    return lines, columns
 
 
 def _parse_block(lines: list[str], rownums, names, path) -> np.ndarray:
@@ -202,21 +236,34 @@ def save_csv(data: Dataset, path: str | Path) -> None:
 
     After the header, each row is its codes in unpadded base 10, comma
     separated and ended by ``\\n``. Loading the result reproduces the
-    dataset exactly, cardinalities included.
+    dataset exactly, cardinalities included; when every code is below 10
+    the body is the one-digit layout that ``load_csv`` reads by reshape.
+    A block of rows is rendered into slots of W + 1 bytes per cell, W the
+    digit count of its largest code: digits right-aligned, then ``,`` or
+    ``\\n``. When W > 1 the unused leading bytes of each slot are dropped.
     """
     path = Path(path)
+    if not data.n_vars:
+        raise DatasetError(f"{path}: cannot save a dataset with no variables")
+    if _card_path(path) == path:
+        raise DatasetError(f"{path}: a dataset path cannot end in .card, "
+                           f"the suffix of its sidecar")
     with path.open("wb") as f:
         f.write((",".join(data.names) + "\n").encode("utf-8"))
         for start in range(0, data.n_rows, _BLOCK_ROWS):
-            values = data.columns[:, start:start + _BLOCK_ROWS].T.ravel()
-            sizes = np.searchsorted(_POW10[1:], values, side="right") + 1
-            seps = np.cumsum(sizes + 1) - 1  # the byte after each cell
-            out = np.full(seps[-1] + 1, ord(","), dtype=np.uint8)
-            out[seps[data.n_vars - 1::data.n_vars]] = ord("\n")
-            for k in range(sizes.max()):
-                has = sizes > k
-                out[seps[has] - 1 - k] = ord("0") + values[has] // _POW10[k] % 10
-            f.write(out)
+            cells = data.columns[:, start:start + _BLOCK_ROWS].T
+            width = len(str(cells.max()))
+            slots = np.empty((*cells.shape, width + 1), dtype=np.uint8)
+            slots[..., width] = ord(",")
+            slots[:, -1, width] = ord("\n")
+            rest = cells
+            for k in range(width - 1, 0, -1):  # the leading digit is what remains
+                rest, slots[..., k] = divmod(rest, 10)
+            slots[..., 0] = rest
+            slots[..., :width] += ord("0")
+            if width > 1:
+                slots = slots[cells[..., None] >= np.r_[_POW10[width - 1:0:-1], 0, 0]]
+            f.write(slots)
     _card_path(path).write_text(
         "\n".join(str(r) for r in data.cardinalities) + "\n", encoding="utf-8"
     )

@@ -52,6 +52,13 @@ def test_sample_rejects_negative_seed(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_sample_rejects_a_card_path(tmp_path, capsys):
+    args, out = sample_args(tmp_path, name="x.card", n=5)
+    assert main(args) == 2
+    assert "cannot end in .card" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sample_missing_network(tmp_path, capsys):
     assert main(["sample", str(tmp_path / "nope.bif"), "--n", "10",
                  "--out", str(tmp_path / "d.csv")]) == 2

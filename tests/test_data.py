@@ -288,6 +288,127 @@ def test_save_csv_matches_reference_and_round_trips(tmp_path, n_rows):
     assert np.array_equal(back.columns, data.columns)
 
 
+def test_save_csv_mixed_widths_in_one_block(tmp_path):
+    codes = [0, 9] + [c for w in range(1, 9) for c in (10 ** w, 10 ** (w + 1) - 1)]
+    codes += [10**9, 2**31 - 1]
+    cols = np.array([np.roll(codes, j) for j in range(3)] + [np.arange(20) % 10])
+    data = Dataset(("a", "b", "c", "d"), (2**31, 2**31, 2**31, 10),
+                   cols.astype(np.int32))
+    out = tmp_path / "out.csv"
+    save_csv(data, out)
+    assert out.read_bytes() == save_csv_reference(data)
+    back = load_csv(out)
+    assert back.cardinalities == data.cardinalities
+    assert np.array_equal(back.columns, data.columns)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+def test_save_csv_one_variable_matches_reference(tmp_path, n_rows):
+    rng = np.random.Generator(np.random.PCG64(n_rows))
+    data = Dataset(("x",), (12,), rng.integers(0, 12, (1, n_rows), dtype=np.int32))
+    out = tmp_path / "out.csv"
+    save_csv(data, out)
+    assert out.read_bytes() == save_csv_reference(data)
+
+
+def test_save_csv_rejects_a_card_path(tmp_path):
+    out = tmp_path / "x.card"
+    with pytest.raises(DatasetError, match="cannot end in .card"):
+        save_csv(small_dataset(), out)
+    assert not out.exists()
+
+
+def test_save_csv_rejects_no_variables(tmp_path):
+    out = tmp_path / "empty.csv"
+    with pytest.raises(DatasetError, match="no variables"):
+        save_csv(Dataset((), (), np.zeros((0, 5), np.int32)), out)
+    assert list(tmp_path.iterdir()) == []
+
+
+def one_digit_dataset(rng, n_vars, n_rows):
+    cards = tuple(int(r) for r in rng.integers(2, 11, n_vars))
+    cols = np.array([rng.integers(0, r, n_rows) for r in cards], dtype=np.int32)
+    return Dataset(tuple(f"v{j}" for j in range(n_vars)), cards,
+                   cols.reshape(n_vars, n_rows))
+
+
+def reference_outcome(path):
+    """``load_outcome`` of the reference, with ``load_csv``'s message for
+    a file that is not UTF-8."""
+    try:
+        return load_outcome(load_csv_reference, path)
+    except UnicodeDecodeError as exc:
+        return "error", f"cannot read {path}: {exc}"
+
+
+@pytest.mark.parametrize("n_vars", [1, 37])
+@pytest.mark.parametrize("n_rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+def test_load_csv_reads_one_digit_files_by_reshape(tmp_path, monkeypatch, n_vars, n_rows):
+    def no_parser(*args):
+        raise AssertionError("the general parser read a one-digit file")
+
+    data = one_digit_dataset(np.random.Generator(np.random.PCG64(n_rows)), n_vars, n_rows)
+    path = tmp_path / "d.csv"
+    save_csv(data, path)
+    with monkeypatch.context() as m:
+        m.setattr("localcausal.data._parse_block", no_parser)
+        back = load_csv(path)
+        assert back.cardinalities == data.cardinalities
+        assert np.array_equal(back.columns, data.columns)
+        path.with_suffix(".card").unlink()
+        assert load_outcome(load_csv, path) == reference_outcome(path)
+
+
+def mutations(rng, text: bytes, n_vars: int):
+    """Single edits of a canonical file, each at a random place."""
+    b = np.frombuffer(text, np.uint8)
+    body = np.arange(len(b)) > text.index(b"\n")
+
+    def at(where):
+        return int(rng.choice(np.flatnonzero(where & body)))
+
+    def replace(pos, new):
+        return text[:pos] + new + text[pos + 1:]
+
+    digit, end = at((b >= ord("0")) & (b <= ord("9"))), at(b == ord("\n"))
+    for new in (b" ", b"a", b"/", b":", b"12", "\u0661".encode(), b"\xff"):
+        yield replace(digit, new)
+    if n_vars > 1:
+        comma = at(b == ord(","))
+        swapped = bytearray(text)
+        swapped[comma], swapped[end] = swapped[end], swapped[comma]
+        yield bytes(swapped)
+        yield text[:end - 2] + text[end:]  # one cell too few
+    yield replace(end, b",0\n")  # one cell too many
+    yield text.replace(b"\n", b"\r\n")
+    yield text.replace(b"\n", b"\r")
+    yield replace(text.index(b"\n"), b"\r")  # the header alone ends in \r
+    yield replace(end, b"\n\n")
+    yield text[:-1]
+    yield "\ufeff".encode() + text
+    yield "\u00e9".encode() + text
+    yield b"\xff" + text
+    yield text + "\u00e9".encode()[:1]  # a sequence cut off by the end
+
+
+@pytest.mark.parametrize("n_vars", [1, 4])
+def test_load_csv_matches_reference_on_mutated_one_digit_files(tmp_path, n_vars):
+    rng = np.random.Generator(np.random.PCG64(n_vars))
+    path = tmp_path / "d.csv"
+    outcomes = set()
+    for n_rows in (1, 3, 2 * _BLOCK_ROWS + 5):
+        save_csv(one_digit_dataset(rng, n_vars, n_rows), path)
+        path.with_suffix(".card").unlink()
+        for _ in range(3):
+            for text in mutations(rng, path.read_bytes(), n_vars):
+                mutated = tmp_path / "m.csv"
+                mutated.write_bytes(text)
+                expected = reference_outcome(mutated)
+                assert load_outcome(load_csv, mutated) == expected
+                outcomes.add(expected[0])
+    assert outcomes == {"ok", "error"}
+
+
 def brute_strata(table, data, x, y, z=()):
     """Check ``table`` against the brute-force recount, stratum by stratum
     in sorted-key order, and return the observed keys in that order."""

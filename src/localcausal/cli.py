@@ -11,20 +11,17 @@ JSON file. Exit codes: 0 success, 1 usage error, 2 data or parse error,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields
-from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .bif import BifParseError, load_bif
-from .bnet import CptNetwork, sample
-from .citest import CiEngine, _gammaincc
+from .bnet import sample
+from .citest import CiEngine
 from .data import Dataset, DatasetError, load_csv, save_csv
 from .localgraph import elcs
 from .mbdiscovery import emb, iamb
@@ -38,13 +35,16 @@ class UsageError(ValueError):
     pass
 
 
-def _learn_one(data: Dataset, target: int, args: argparse.Namespace):
-    """Run ``args.algo`` once on a fresh engine; returns the learner's
-    output, its (parents, children, undecided) index sets, ``ci_tests``
-    and ``time_ms``."""
-    engine = CiEngine.g2(data, alpha=args.alpha,
-                         reliability_k=args.reliability_k,
-                         max_cond_size=args.max_cond)
+def _engine(data: Dataset, args: argparse.Namespace) -> CiEngine:
+    return CiEngine.g2(data, alpha=args.alpha, reliability_k=args.reliability_k,
+                       max_cond_size=args.max_cond)
+
+
+def _learn_one(engine: CiEngine, target: int, args: argparse.Namespace):
+    """Run ``args.algo`` once on ``engine``; returns the learner's output,
+    its (parents, children, undecided) index sets, ``ci_tests`` (the
+    queries this run added to the engine's count) and ``time_ms``."""
+    count = engine.test_count
     start = time.perf_counter()
     if args.algo == "iamb":
         out = iamb(engine, target)
@@ -55,7 +55,7 @@ def _learn_one(data: Dataset, target: int, args: argparse.Namespace):
     time_ms = (time.perf_counter() - start) * 1000.0
     sets = ((set(), set(), out) if args.algo == "iamb"  # unoriented
             else (out.parents, out.children, out.undecided))
-    return out, sets, engine.test_count, time_ms
+    return out, sets, engine.test_count - count, time_ms
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
@@ -69,7 +69,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 def cmd_learn(args: argparse.Namespace) -> int:
     data = load_csv(args.data)
     target = data.index_of(args.target)
-    out, sets, ci_tests, time_ms = _learn_one(data, target, args)
+    out, sets, ci_tests, time_ms = _learn_one(_engine(data, args), target, args)
     expanded = args.algo == "elcs"
     blanket = out.target_result if expanded else out
     spouses = set() if args.algo == "iamb" else blanket.mb - blanket.pc
@@ -94,13 +94,6 @@ def cmd_learn(args: argparse.Namespace) -> int:
     if args.out is not None:
         args.out.write_text(text + "\n", encoding="utf-8")
     return 0
-
-
-def _bench_target(data: Dataset, net: CptNetwork, target: int,
-                  args: argparse.Namespace) -> LocalScore:
-    _, sets, ci_tests, time_ms = _learn_one(data, target, args)
-    return score_local(*sets, net.dag, target, ci_tests=ci_tests,
-                       time_ms=time_ms)
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
@@ -129,34 +122,32 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         "targets": [names[t] for t in targets],
         "sizes": [],
     }
-    # a fork-based pool forks every worker at the first submit
-    _gammaincc()  # so every worker shares the scipy loaded here
-    workers = min(args.workers, len(targets))
-    pool = (ProcessPoolExecutor(max_workers=workers)
-            if workers > 1 else contextlib.nullcontext())
-    with pool as executor:
-        mapper = executor.map if executor is not None else map
-        for size in args.sizes:
-            size_block = {"size": size, "runs": [], "aggregate": None}
-            run_means: list[LocalScore] = []
-            for run in range(args.runs):
-                run_seed = args.seed + run
-                data = sample(net, size, run_seed)
-                scores = list(mapper(_bench_target, repeat(data), repeat(net),
-                                     targets, repeat(args)))
-                mean = {k: v["mean"] for k, v in aggregate(scores).items()}
-                run_means.append(LocalScore(**mean))
-                size_block["runs"].append({
-                    "run": run,
-                    "seed": run_seed,
-                    "per_target": [
-                        {"target": names[t], **asdict(s)}
-                        for t, s in zip(targets, scores)
-                    ],
-                    "mean": mean,
-                })
-            size_block["aggregate"] = aggregate(run_means)
-            report["sizes"].append(size_block)
+    for size in args.sizes:
+        size_block = {"size": size, "runs": [], "aggregate": None}
+        run_means: list[LocalScore] = []
+        for run in range(args.runs):
+            run_seed = args.seed + run
+            # one engine per dataset: its store is keyed by variable index
+            # only, and a target's ci_tests is the count its own run adds
+            engine = _engine(sample(net, size, run_seed), args)
+            scores = []
+            for t in targets:
+                _, sets, ci_tests, time_ms = _learn_one(engine, t, args)
+                scores.append(score_local(*sets, net.dag, t, ci_tests=ci_tests,
+                                          time_ms=time_ms))
+            mean = {k: v["mean"] for k, v in aggregate(scores).items()}
+            run_means.append(LocalScore(**mean))
+            size_block["runs"].append({
+                "run": run,
+                "seed": run_seed,
+                "per_target": [
+                    {"target": names[t], **asdict(s)}
+                    for t, s in zip(targets, scores)
+                ],
+                "mean": mean,
+            })
+        size_block["aggregate"] = aggregate(run_means)
+        report["sizes"].append(size_block)
     _print_table(report)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out is not None:
@@ -232,7 +223,6 @@ def _build_parser() -> _ArgumentParser:
                          help="score only these targets (repeatable); "
                               "default is every variable")
     p_bench.add_argument("--out", type=Path, default=None)
-    p_bench.add_argument("--workers", type=int, default=1)
     add_engine_flags(p_bench)
     return parser
 
@@ -264,8 +254,6 @@ def run(argv: Sequence[str]) -> int:
         raise UsageError("seed must be nonnegative")
     if args.runs < 1:
         raise UsageError("runs must be at least 1")
-    if args.workers < 1:
-        raise UsageError("workers must be at least 1")
     if any(s < 1 for s in args.sizes):
         raise UsageError("sizes must be positive")
     for name, values in (("size", args.sizes), ("target", args.target or [])):

@@ -82,6 +82,13 @@ class ContingencyTable:
 
 
 def _card_path(path: Path) -> Path:
+    """The sidecar of data file ``path``; a DatasetError if ``path`` names
+    no file or would be its own sidecar."""
+    if not path.name:
+        raise DatasetError(f"{path}: a dataset path must name a file")
+    if path.suffix == ".card":
+        raise DatasetError(f"{path}: a dataset path cannot end in .card, "
+                           f"the suffix of its sidecar")
     return path.with_suffix(".card")
 
 
@@ -100,7 +107,8 @@ def load_csv(path: str | Path) -> Dataset:
     If a ``.card`` sidecar file exists next to ``path`` (one integer per
     line, header order) it fixes the cardinalities, and it is the only
     way to fix them; otherwise they are inferred as ``max code + 1`` per
-    column (floored at 2 so the type invariant holds).
+    column (floored at 2 so the type invariant holds). A ``path`` ending
+    in ``.card`` would be its own sidecar, and is refused unread.
 
     A body in ``save_csv``'s one-digit layout (one-digit cells joined by
     ``,``, every line ended by ``\\n``) is validated and reshaped block by
@@ -108,6 +116,7 @@ def load_csv(path: str | Path) -> Dataset:
     the same dataset, or the same error, for any file.
     """
     path = Path(path)
+    sidecar = _card_path(path)
     try:
         raw = path.read_bytes()
         lines, columns = _read_one_digit(raw)
@@ -139,7 +148,6 @@ def load_csv(path: str | Path) -> Dataset:
             kept += len(block)
         columns = np.ascontiguousarray(columns[:, :kept])
 
-    sidecar = _card_path(path)
     if sidecar.exists():
         cardinalities = _load_cards(sidecar, len(names))
     else:
@@ -236,18 +244,21 @@ def save_csv(data: Dataset, path: str | Path) -> None:
 
     After the header, each row is its codes in unpadded base 10, comma
     separated and ended by ``\\n``. Loading the result reproduces the
-    dataset exactly, cardinalities included; when every code is below 10
-    the body is the one-digit layout that ``load_csv`` reads by reshape.
+    dataset exactly, cardinalities included, so a name that is empty, has
+    edge whitespace, or holds a comma or line break is refused. When every
+    code is below 10 the body is the one-digit layout ``load_csv`` reshapes.
     A block of rows is rendered into slots of W + 1 bytes per cell, W the
     digit count of its largest code: digits right-aligned, then ``,`` or
     ``\\n``. When W > 1 the unused leading bytes of each slot are dropped.
     """
     path = Path(path)
+    sidecar = _card_path(path)
     if not data.n_vars:
         raise DatasetError(f"{path}: cannot save a dataset with no variables")
-    if _card_path(path) == path:
-        raise DatasetError(f"{path}: a dataset path cannot end in .card, "
-                           f"the suffix of its sidecar")
+    for name in data.names:
+        if not name or name != name.strip() or not {",", "\n", "\r"}.isdisjoint(name):
+            raise DatasetError(f"{path}: variable name {name!r} cannot be "
+                               f"written as a CSV header cell")
     with path.open("wb") as f:
         f.write((",".join(data.names) + "\n").encode("utf-8"))
         for start in range(0, data.n_rows, _BLOCK_ROWS):
@@ -264,7 +275,7 @@ def save_csv(data: Dataset, path: str | Path) -> None:
             if width > 1:
                 slots = slots[cells[..., None] >= np.r_[_POW10[width - 1:0:-1], 0, 0]]
             f.write(slots)
-    _card_path(path).write_text(
+    sidecar.write_text(
         "\n".join(str(r) for r in data.cardinalities) + "\n", encoding="utf-8"
     )
 

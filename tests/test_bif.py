@@ -6,6 +6,7 @@ import pytest
 
 from localcausal import BifParseError, load_bif, parse_bif
 from localcausal.assets import NAMES, asset_path
+from localcausal.cli import main
 
 GOOD = """
 network example {
@@ -264,16 +265,24 @@ def test_diagnostic_text_and_position(text, message, line, col):
     assert (err.line, err.col) == (line, col)
 
 
-def test_every_single_token_deletion_parses_or_is_a_parse_error():
+def test_every_single_token_deletion_parses_or_is_a_parse_error(tmp_path,
+                                                               capsys):
+    # and through the CLI, every such file samples or is a data error
     text = asset_path("trace").read_text(encoding="utf-8")
     spans = [m.span() for m in
              re.finditer(r"[{}\[\]()|,;=]|[^\s{}\[\]()|,;=]+", text)]
     assert len(spans) > 300
+    bif, out = tmp_path / "net.bif", tmp_path / "d.csv"
     for start, end in spans:
+        cut = text[:start] + text[end:]
         try:
-            parse_bif(text[:start] + text[end:])
+            parse_bif(cut)
         except BifParseError:
             pass
+        bif.write_text(cut, encoding="utf-8")
+        code = main(["sample", str(bif), "--n", "20", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2) and "internal error" not in err, (cut, err)
 
 
 @pytest.mark.parametrize("raw, message, line, col", [

@@ -1,10 +1,13 @@
+import argparse
 import json
 
+import numpy as np
 import pytest
 
-from localcausal import CiEngine, elcs, emb, iamb, load_bif, sample, save_csv
+from localcausal import (CiEngine, elcs, emb, iamb, load_bif, sample, save_csv,
+                         score_local)
 from localcausal.assets import asset_path
-from localcausal.cli import ALGOS, main
+from localcausal.cli import ALGOS, _engine, _learn_one, main
 
 
 TRACE = str(asset_path("trace"))
@@ -57,6 +60,20 @@ def test_sample_rejects_a_card_path(tmp_path, capsys):
     assert main(args) == 2
     assert "cannot end in .card" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sample_refuses_a_name_csv_cannot_carry(tmp_path, capsys):
+    # BIF allows quoted names; one holding a comma would split the header
+    bif = tmp_path / "net.bif"
+    bif.write_text('network n { }\n'
+                   'variable "a,b" { type discrete [ 2 ] { y, n }; }\n'
+                   'variable c { type discrete [ 2 ] { y, n }; }\n'
+                   'probability ( "a,b" ) { table 0.3, 0.7; }\n'
+                   'probability ( c ) { table 0.5, 0.5; }\n')
+    out = tmp_path / "d.csv"
+    assert main(["sample", str(bif), "--n", "5", "--out", str(out)]) == 2
+    assert "variable name 'a,b'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["net.bif"]
 
 
 def test_sample_missing_network(tmp_path, capsys):
@@ -197,6 +214,44 @@ def test_learn_data_errors(sampled, tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_learn_refuses_a_card_data_file(tmp_path, capsys):
+    path = tmp_path / "d.card"
+    path.write_text("a\n0\n1\n")
+    assert main(["learn", str(path), "--target", "a"]) == 2
+    assert "cannot end in .card, the suffix of its sidecar" in \
+        capsys.readouterr().err
+
+
+def mutations(raw: bytes, rng, count: int):
+    """``count`` single-byte edits of ``raw``, each a replacement, deletion
+    or insertion at a seeded position; new bytes are mostly ones the CSV
+    and sidecar formats give meaning to."""
+    meaningful = b"0129,\n\r \t\xff"
+    for _ in range(count):
+        i = int(rng.integers(len(raw)))
+        new = (bytes([meaningful[rng.integers(len(meaningful))]])
+               if rng.random() < 0.7 else bytes([rng.integers(256)]))
+        kind = rng.integers(3)
+        yield (raw[:i] + new + raw[i + 1:] if kind == 0 else
+               raw[:i] + raw[i + 1:] if kind == 1 else raw[:i] + new + raw[i:])
+
+
+def test_learn_on_mutated_files_is_never_an_internal_error(tmp_path, capsys):
+    csv = tmp_path / "d.csv"
+    assert main(["sample", TRACE, "--n", "60", "--seed", "2",
+                 "--out", str(csv)]) == 0
+    rng = np.random.default_rng(16)
+    for path, count in ((csv, 200), (csv.with_suffix(".card"), 80)):
+        raw = path.read_bytes()
+        for mutated in mutations(raw, rng, count):
+            path.write_bytes(mutated)
+            code = main(["learn", str(csv), "--target", "T"])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2) and "internal error" not in err, \
+                (path.name, mutated, err)
+        path.write_bytes(raw)
+
+
 def test_learn_internal_error_is_exit_3(sampled, capsys, monkeypatch):
     import localcausal.cli as cli
 
@@ -236,6 +291,54 @@ def test_learn_bad_csv_is_exit_2(tmp_path, capsys, rows, card):
         csv.with_suffix(".card").write_bytes(utf8(card))
     assert main(["learn", str(csv), "--target", "T"]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def child_sample():
+    return sample(load_bif(asset_path("child")), 500, seed=1)
+
+
+@pytest.mark.parametrize("algo, max_cond, n_structures", [
+    *((algo, None, True) for algo in ALGOS),
+    ("elcs", 1, True), ("emb", 1, True),
+    ("elcs", None, False), ("emb", None, False)])
+def test_shared_engine_matches_fresh_engines(child_sample, algo, max_cond,
+                                             n_structures):
+    # benchmark learns every target of a dataset on one engine, so a
+    # target's roles and ci_tests must not depend on what the targets
+    # before it asked, in either order
+    args = argparse.Namespace(algo=algo, alpha=0.01, reliability_k=5.0,
+                              max_cond=max_cond, n_structures=n_structures)
+    targets = range(child_sample.n_vars)
+    fresh = {t: _learn_one(_engine(child_sample, args), t, args)[1:3]
+             for t in targets}
+    for order in (targets, reversed(targets)):
+        engine = _engine(child_sample, args)
+        for t in order:
+            assert _learn_one(engine, t, args)[1:3] == fresh[t]
+
+
+def test_benchmark_engine_never_spans_two_datasets(tmp_path, capsys):
+    # every size and run is a different sample of the same variables; each
+    # target's scores must equal those from a fresh engine on its sample
+    out = tmp_path / "r.json"
+    assert main(["benchmark", TRACE, "--sizes", "150,300", "--runs", "2",
+                 "--seed", "4", "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    net = load_bif(TRACE)
+    args = argparse.Namespace(algo="elcs", alpha=0.01, reliability_k=5.0,
+                              max_cond=None, n_structures=True)
+    for block in report["sizes"]:
+        for run in block["runs"]:
+            data = sample(net, block["size"], run["seed"])
+            for row in run["per_target"]:
+                t = data.index_of(row["target"])
+                _, sets, ci_tests, _ = _learn_one(_engine(data, args), t, args)
+                fresh = score_local(*sets, net.dag, t, ci_tests=ci_tests,
+                                    time_ms=0.0)
+                assert strip_times(row) == strip_times(
+                    {"target": row["target"], **vars(fresh)})
 
 
 def bench(tmp_path, name, *extra):
@@ -282,37 +385,6 @@ def test_benchmark_reports_no_n_structures(tmp_path, capsys):
     assert report["n_structures"] is False
 
 
-def test_benchmark_workers_match_serial(tmp_path, capsys):
-    serial = bench(tmp_path, "s.json")
-    fanned = bench(tmp_path, "w.json", "--workers", "2")
-    capsys.readouterr()
-    assert strip_times(serial) == strip_times(fanned)
-
-
-def test_benchmark_workers_capped_at_target_count(tmp_path, capsys,
-                                                 monkeypatch):
-    import localcausal.cli as cli
-    made = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            made.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        map = staticmethod(map)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-    report = bench(tmp_path, "w.json", "--workers", "5000")
-    capsys.readouterr()
-    assert made == [2]
-    assert report["targets"] == ["T", "K"]
-
-
 @pytest.mark.parametrize("text", [
     b"network n { }\nvariable A { type discrete [ 2 ] { a\xff, b }; }\n",
     b"network n { }\nvariable A { type discrete [ 1 ] { a }; }\n"
@@ -342,6 +414,8 @@ def test_benchmark_usage_errors(tmp_path, capsys):
                  "--seed", "-1"]) == 1
     assert main(["benchmark", TRACE, "--sizes", "100",
                  "--algo", "elcs2"]) == 1
+    assert main(["benchmark", TRACE, "--sizes", "100",
+                 "--workers", "2"]) == 1
     capsys.readouterr()
 
 

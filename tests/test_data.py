@@ -318,6 +318,39 @@ def test_save_csv_rejects_a_card_path(tmp_path):
     assert not out.exists()
 
 
+def test_load_csv_rejects_a_card_path(tmp_path):
+    # a data file named d.card would be read as its own sidecar
+    path = tmp_path / "d.card"
+    path.write_text("a\n0\n1\n")
+    with pytest.raises(DatasetError, match="cannot end in .card, the suffix "
+                                           "of its sidecar"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("path", ["", ".", "/"])
+def test_csv_paths_that_name_no_file_are_refused(path):
+    with pytest.raises(DatasetError, match="must name a file"):
+        load_csv(path)
+    with pytest.raises(DatasetError, match="must name a file"):
+        save_csv(small_dataset(), path)
+
+
+@pytest.mark.parametrize("bad", ["", "a,b", "a\nb", "a\rb", " a", "a ", "a\t",
+                                 "\u00a0a"])
+def test_save_csv_rejects_names_csv_cannot_carry(tmp_path, bad):
+    data = Dataset(("ok", bad), (2, 2), np.zeros((2, 3), np.int32))
+    with pytest.raises(DatasetError, match=re.escape(repr(bad))):
+        save_csv(data, tmp_path / "d.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_csv_keeps_inner_spaces_and_punctuation(tmp_path):
+    names = ("a b", "x;y", "café", '"q"')
+    data = Dataset(names, (2, 2, 2, 2), np.zeros((4, 3), np.int32))
+    save_csv(data, tmp_path / "d.csv")
+    assert load_csv(tmp_path / "d.csv").names == names
+
+
 def test_save_csv_rejects_no_variables(tmp_path):
     out = tmp_path / "empty.csv"
     with pytest.raises(DatasetError, match="no variables"):

@@ -105,17 +105,13 @@ def topo_order(dag: Dag) -> list[int]:
     ready variables, so the order is unique and stable."""
     n = len(dag.parents)
     indeg = [len(p) for p in dag.parents]
-    children = [[] for _ in range(n)]
-    for i, ps in enumerate(dag.parents):
-        for p in ps:
-            children[p].append(i)
     ready = [i for i in range(n) if indeg[i] == 0]
     heapq.heapify(ready)
     order = []
     while ready:
         v = heapq.heappop(ready)
         order.append(v)
-        for c in children[v]:
+        for c in dag.children[v]:
             indeg[c] -= 1
             if indeg[c] == 0:
                 heapq.heappush(ready, c)

@@ -31,7 +31,7 @@ from .data import ContingencyTable, Dataset, contingency
 _ROW_CELLS = 1 << 22  # codes per row-fill bincount: bounds its temporaries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CiResult:
     """Outcome of one conditional independence query.
 

@@ -20,16 +20,6 @@ from .mbdiscovery import MbResult, emb
 UNDIRECTED = "undirected"
 
 
-@dataclass(frozen=True)
-class Conflict:
-    """A rejected attempt to overwrite an existing mark."""
-
-    pair: tuple[int, int]
-    existing: object
-    claimed: tuple[int, int]
-    source: str
-
-
 class LocalGraph:
     """Edge marks over ``n_vars`` variables, stored per variable.
 
@@ -37,9 +27,8 @@ class LocalGraph:
     out of v and ``undirected[v]`` v's undirected neighbours; an edge
     sits in the sets of both its ends, and callers read these sets
     directly. Directed marks are never overwritten; a contradicting
-    claim is recorded in ``conflicts`` and dropped, with the existing
-    mark given as its ``(src, dst)`` arrow or the module constant
-    ``UNDIRECTED``.
+    claim is dropped, and its pair, lower index first, is appended to
+    ``conflicts``.
     """
 
     def __init__(self, n_vars: int):
@@ -48,7 +37,7 @@ class LocalGraph:
         self.children: list[set[int]] = [set() for _ in range(n_vars)]
         self.undirected: list[set[int]] = [set() for _ in range(n_vars)]
         self.visited: set[int] = set()
-        self.conflicts: list[Conflict] = []
+        self.conflicts: list[tuple[int, int]] = []
 
     def adjacent(self, a: int, b: int) -> bool:
         return (b in self.undirected[a] or b in self.children[a]
@@ -60,14 +49,13 @@ class LocalGraph:
             self.undirected[a].add(b)
             self.undirected[b].add(a)
 
-    def orient(self, src: int, dst: int, source: str = "") -> bool:
+    def orient(self, src: int, dst: int) -> bool:
         """Direct the pair src -> dst; refuse to flip an existing arrow.
 
         Returns True when the mark now points src -> dst.
         """
         if dst in self.parents[src]:
-            key = (src, dst) if src < dst else (dst, src)
-            self.conflicts.append(Conflict(key, (dst, src), (src, dst), source))
+            self.conflicts.append((src, dst) if src < dst else (dst, src))
             return False
         self.undirected[src].discard(dst)
         self.undirected[dst].discard(src)
@@ -94,9 +82,9 @@ def apply_orientations(graph: LocalGraph, target: int, result: MbResult) -> Loca
     for y in sorted(result.pc):
         graph.ensure_undirected(target, y)
     for y in sorted(result.parents):
-        graph.orient(y, target, source=f"blanket({target})")
+        graph.orient(y, target)
     for y in sorted(result.children):
-        graph.orient(target, y, source=f"blanket({target})")
+        graph.orient(target, y)
     return graph
 
 
@@ -133,7 +121,7 @@ def meek_closure(graph: LocalGraph) -> LocalGraph:
     scan order. Only undirected pairs whose two endpoints have been
     visited are eligible for orientation; rule premises may use any
     mark. A pair demanded in both directions within one sweep is left
-    undirected and logged once as a ``meek-contested`` conflict.
+    undirected and its pair is logged once as a conflict.
     """
     while True:
         demands = []
@@ -143,15 +131,14 @@ def meek_closure(graph: LocalGraph) -> LocalGraph:
                     continue
                 forward, back = _rule_demands(graph, a, b), _rule_demands(graph, b, a)
                 if forward and back:
-                    if not any(c.pair == (a, b) for c in graph.conflicts):
-                        graph.conflicts.append(
-                            Conflict((a, b), UNDIRECTED, (a, b), "meek-contested"))
+                    if (a, b) not in graph.conflicts:
+                        graph.conflicts.append((a, b))
                 elif forward or back:
                     demands.append((a, b) if forward else (b, a))
         if not demands:
             return graph
         for src, dst in demands:
-            graph.orient(src, dst, source="meek")
+            graph.orient(src, dst)
 
 
 @dataclass

@@ -12,7 +12,6 @@ from localcausal import (
     meek_closure,
     true_mb,
 )
-from localcausal.localgraph import Conflict
 
 from oracles import graph_marks, meek_closure_brute, random_dag
 
@@ -33,14 +32,11 @@ def test_marks_and_neighbors():
 
 def test_orient_never_flips():
     g = LocalGraph(3)
-    assert g.orient(0, 1, source="first")
+    assert g.orient(0, 1)
     assert g.orient(0, 1)  # same direction is fine
-    assert not g.orient(1, 0, source="second")
+    assert not g.orient(1, 0)
     assert graph_marks(g) == {(0, 1): (0, 1)}
-    assert g.conflicts == [
-        Conflict(pair=(0, 1), existing=(0, 1), claimed=(1, 0),
-                 source="second"),
-    ]
+    assert g.conflicts == [(0, 1)]
 
 
 def test_partition():
@@ -75,10 +71,10 @@ def test_apply_orientations_conflict(trace_net):
     e = dag.index_of("E")
     result = emb(CiEngine.oracle(dag), t)
     g = LocalGraph(dag.n_vars)
-    g.orient(t, e, source="preset")  # wrong way on purpose
+    g.orient(t, e)  # wrong way on purpose
     apply_orientations(g, t, result)
     assert e in g.children[t] and e not in g.parents[t]  # existing arrow wins
-    assert any(c.pair == (min(t, e), max(t, e)) for c in g.conflicts)
+    assert g.conflicts == [(min(t, e), max(t, e))]
 
 
 def meek_fixture(n, directed=(), undirected=(), visited=()):
@@ -152,7 +148,7 @@ def test_meek_contested_pair_stays_undirected():
                      visited=[0, 1, 2, 3])
     meek_closure(g)
     assert 2 in g.undirected[1]
-    assert any(c.source == "meek-contested" for c in g.conflicts)
+    assert g.conflicts == [(1, 2)]
 
 
 def test_meek_contested_pair_logged_once():
@@ -160,10 +156,7 @@ def test_meek_contested_pair_logged_once():
                      visited=[0, 1, 2, 3])
     meek_closure(g)
     meek_closure(g)
-    assert g.conflicts == [
-        Conflict(pair=(1, 2), existing=UNDIRECTED, claimed=(1, 2),
-                 source="meek-contested"),
-    ]
+    assert g.conflicts == [(1, 2)]
 
 
 def random_pdag(rng):
@@ -238,7 +231,7 @@ def test_meek_matches_brute_force_with_some_variables_visited():
         want, want_contested = meek_closure_brute(graph_marks(g), g.visited)
         meek_closure(g)
         assert graph_marks(g) == want
-        assert {c.pair for c in g.conflicts} == want_contested
+        assert set(g.conflicts) == want_contested
         contested += bool(want_contested)
     assert contested > 0
 

@@ -1,0 +1,156 @@
+"""The scripts under ``scripts/``: the A/B harness in both of its modes,
+and the asset builder against the bundled networks."""
+
+import contextlib
+import importlib.util
+import io
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+ASSETS = ROOT / "src" / "localcausal" / "assets"
+WORKLOAD = ["--workload", "io-100k", "--seed", "1", "--seconds", "0.1",
+            "--pairs", "2"]
+SWEEP = ["--bif", str(ASSETS / "trace.bif"), "--sizes", "200", "--pairs", "2"]
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def copy_checkout(dest: Path) -> Path:
+    ignore = shutil.ignore_patterns("__pycache__", ".perfbench_out")
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, dest / part, ignore=ignore)
+    return dest
+
+
+@pytest.fixture(scope="module")
+def ab():
+    return load_script("ab")
+
+
+@pytest.fixture(scope="module")
+def checkouts(tmp_path_factory):
+    root = tmp_path_factory.mktemp("ab")
+    return copy_checkout(root / "baseline"), copy_checkout(root / "change")
+
+
+@pytest.fixture(scope="module")
+def book(ab, checkouts):
+    """A book with one perfbench case and one CLI case, and each run's
+    standard output."""
+    path = checkouts[0].parent / "book.json"
+    outputs = []
+    for argv in (WORKLOAD, SWEEP):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = ab.main([*map(str, checkouts), *argv, "--json", str(path)])
+        assert code == 0, out.getvalue()
+        outputs.append(out.getvalue())
+    return path, outputs
+
+
+def key_paths(value, prefix=()):
+    """Every path of dict keys in ``value``, not looking into lists."""
+    if not isinstance(value, dict):
+        return set()
+    return set().union(*({(*prefix, k)} | key_paths(v, (*prefix, k))
+                         for k, v in value.items()))
+
+
+def test_both_modes_land_in_one_book(book, checkouts):
+    path, outputs = book
+    cases = json.loads(path.read_text(encoding="utf-8"))["cases"]
+    assert [c["case"] for c in cases] == [
+        {"workload": "io-100k", "seed": 1, "seconds": 0.1},
+        {"network": "trace", "sizes": "200", "algo": "elcs", "seed": 1,
+         "targets": "all"},
+    ]
+    perf, cli = cases
+    for case, metrics in ((perf, ("run_s", "setup_s", "peak_rss_mb",
+                                  "first_pass_s", "save_s", "passes")),
+                          (cli, ("wall_s", "peak_rss_mb"))):
+        assert case["pairs"] == 2 and case["same_answers"]
+        assert 0 <= case["change_faster_in"] <= 2 and case["speedup"] > 0
+        for side in ("baseline", "change"):
+            for m in metrics:
+                assert len(case[side][m]["runs"]) == 2
+                assert case[side][m]["iqr"] >= 0
+    digests = {a["digest"] for s in ("baseline", "change")
+               for a in perf[s]["answers"]}
+    assert len(digests) == 1 and "answers" not in cli["baseline"]
+    # the side that runs first alternates from pair to pair
+    for out in outputs:
+        order = [ln.split()[:3] for ln in out.splitlines()
+                 if ln.startswith("pair ")]
+        assert order == [["pair", "1", "baseline"], ["pair", "1", "change"],
+                         ["pair", "2", "change"], ["pair", "2", "baseline"]]
+        assert "same answers: True" in out
+    # byte-compiled up front: a script run as __main__ leaves no .pyc
+    for checkout in checkouts:
+        assert list((checkout / "perfbench" / "__pycache__").glob("run.*.pyc"))
+
+
+def test_cli_case_keeps_the_committed_format(book):
+    cli = json.loads(book[0].read_text(encoding="utf-8"))["cases"][1]
+    committed = json.loads((ROOT / "BENCH_cli_benchmark.json")
+                           .read_text(encoding="utf-8"))["cases"]
+    assert committed
+    for case in committed:
+        assert key_paths(cli) <= key_paths(case)
+
+
+def test_other_answers_exit_1_and_replace_their_case(ab, checkouts, book,
+                                                     tmp_path):
+    path = tmp_path / "book.json"
+    shutil.copy(book[0], path)
+    before = json.loads(path.read_text(encoding="utf-8"))["cases"]
+    other = copy_checkout(tmp_path / "other")
+    cli = other / "src" / "localcausal" / "cli.py"
+    text = cli.read_text(encoding="utf-8")
+    assert text.count("default=0.01") == 1
+    cli.write_text(text.replace("default=0.01", "default=0.05"),
+                   encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = ab.main([str(checkouts[0]), str(other), *SWEEP[:-1], "1",
+                        "--json", str(path)])
+    assert code == 1
+    after = json.loads(path.read_text(encoding="utf-8"))["cases"]
+    assert after[0] == before[0]  # the perfbench case is left alone
+    assert len(after) == 2 and after[1]["case"] == before[1]["case"]
+    assert after[1]["pairs"] == 1 and not after[1]["same_answers"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--bif", "x.bif", "--sizes", "100", "--seconds", "1"],
+    ["--workload", "io-100k", "--seed", "1", "--algo", "iamb"],
+    ["--workload", "io-100k", "--seed", "1", "--target", "T"],
+    ["--workload", "io-100k"],  # perfbench needs a seed
+    ["--bif", "x.bif"],  # a sweep needs sizes
+    ["--workload", "io-100k", "--bif", "x.bif", "--seed", "1"],
+    ["--seed", "1"],
+    ["--bif", "x.bif", "--sizes", "100", "--pairs", "0"],
+])
+def test_harness_usage_errors(ab, argv):
+    with pytest.raises(SystemExit) as exc:
+        ab.main(["base", "change", *argv])
+    assert exc.value.code == 2
+
+
+def test_build_assets_reproduces_the_bundled_networks(tmp_path):
+    build = load_script("build_assets")
+    build.OUT = tmp_path
+    build.main()
+    bundled = sorted(ASSETS.glob("*.bif"))
+    assert [p.name for p in sorted(tmp_path.glob("*.bif"))] == [
+        p.name for p in bundled]
+    for p in bundled:
+        assert (tmp_path / p.name).read_bytes() == p.read_bytes(), p.name

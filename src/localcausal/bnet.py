@@ -129,23 +129,25 @@ def d_separated(dag: Dag, x: int, y: int, z: Iterable[int] = ()) -> bool:
     width limit. A trail passes a non-collider only outside z, and a
     collider only when the node or one of its descendants is in z; given
     z = ∅, x and y are d-connected exactly when they share an
-    ancestor-or-self. Indexes go through ``operator.index``, z's in the
-    loop that builds its bitsets. Raises ValueError for an index outside
-    ``range(dag.n_vars)`` and when x, y and z overlap.
+    ancestor-or-self, and an edge is d-connected given any z. Indexes go
+    through ``operator.index``, z's in the loop that builds its bitsets.
+    Raises ValueError for an index outside ``range(dag.n_vars)`` and when
+    x, y and z overlap, before any answer.
     """
     x, y, n = index(x), index(y), len(dag.names)
     parents, children, ancestors = dag.bitsets
     if not (0 <= x < n and 0 <= y < n):
         raise ValueError("variable index out of range")
     blocked = opened = 0  # z, and the colliders it opens: z and its ancestors
-    for v in z:
-        v = index(v)  # a Python int: NumPy's would wrap past 64 bits
+    for v in map(index, z):  # Python ints: NumPy's would wrap past 64 bits
         if not 0 <= v < n:
             raise ValueError("variable index out of range")
         blocked |= 1 << v
         opened |= ancestors[v]
     if x == y or (blocked >> x | blocked >> y) & 1:
         raise ValueError("x, y and z must be distinct")
+    if (parents[x] | children[x]) >> y & 1:
+        return False  # no set separates an edge
     if not blocked:
         return not ancestors[x] & ancestors[y]
     # up: reached from a child, or the start; down: reached from a parent.

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from operator import lt
+from operator import index, lt
 from typing import Iterable, Optional
 
 import numpy as np
@@ -29,6 +29,7 @@ from .bnet import Dag, d_separated
 from .data import ContingencyTable, Dataset, contingency
 
 _ROW_CELLS = 1 << 22  # codes per row-fill bincount: bounds its temporaries
+_INT = frozenset((int,))
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,8 +115,9 @@ class CiEngine:
     data, an unconditional query that misses the store fills its first
     variable's whole row (see :meth:`ci_test`); every other miss is
     computed alone. An oracle miss stores one of two shared results, one
-    per verdict. ``max_cond_size`` caps only the learners' separator
-    search (:func:`~localcausal.pcdiscovery.find_separator`).
+    per verdict. A separator search asks its subsets in one loop,
+    :meth:`first_independent`. ``max_cond_size`` caps only that search
+    (:func:`~localcausal.pcdiscovery.find_separator`).
     """
 
     def __init__(self, *, data: Optional[Dataset] = None, dag: Optional[Dag] = None,
@@ -165,35 +167,62 @@ class CiEngine:
         """Test x against y given z. Every call increments the counter,
         repeats included; only a query not seen before is computed.
 
-        A query is checked once, at its miss, and only valid keys are
-        stored, so a hit returns at once; a strictly increasing tuple z is
-        the key as it stands. A bad index or an overlap of x, y and z
-        raises ValueError, under the oracle from :func:`d_separated`.
+        Indexes go through ``operator.index``, so a float raises TypeError
+        at a hit as at a miss. A query is checked once, at its miss, and
+        only valid keys are stored, so a hit returns at once; plain ints
+        and a strictly increasing tuple z are the key as they stand. A bad
+        index or an overlap of x, y and z raises ValueError, under the
+        oracle from :func:`d_separated`.
         On data, a miss with empty z computes x against every other
         variable in one pass and stores each pair it has not stored yet.
         Ask unconditional queries with the variable being scanned first,
         so that one row answers the whole scan.
         """
-        if type(z) is not tuple or (len(z) > 1 and not all(map(lt, z, z[1:]))):
-            z = tuple(sorted(set(z)))
-        key = (x, y, z) if x < y else (y, x, z)
-        result = self._results.get(key)
-        if result is None:
-            if self._dag is not None:
-                result = self._results[key] = (
-                    _SEPARATED if d_separated(self._dag, *key) else _CONNECTED)
-            else:
-                n = self._n_vars
-                if not (0 <= x < n and 0 <= y < n) or (z and (z[0] < 0 or z[-1] >= n)):
-                    raise ValueError("variable index out of range")
-                if x == y or x in z or y in z:
-                    raise ValueError("x, y and z must be distinct")
-                if z:
-                    result = self._results[key] = self._compute(*key)
-                else:
-                    self._fill_row(x)
-                    result = self._results[key]
+        if not (type(x) is int is type(y)):
+            x, y = index(x), index(y)
+        if type(z) is not tuple or z and not (
+                _INT.issuperset(map(type, z)) and all(map(lt, z, z[1:]))):
+            z = tuple(sorted(set(map(index, z))))
+        result = (self._results.get((x, y, z) if x < y else (y, x, z))
+                  or self._miss(x, y, z))
         self._count += 1
+        return result
+
+    def first_independent(self, x: int, y: int, subsets: Iterable[tuple[int, ...]]
+                          ) -> Optional[tuple[int, ...]]:
+        """First z in ``subsets`` given which x and y are independent, or
+        None: a :meth:`ci_test` loop, counted and checked alike, over the
+        strictly increasing int tuples that ``conditioning_sets`` yields.
+        A query refused at its miss ends the search uncounted."""
+        x, y = index(x), index(y)
+        lo, hi = (x, y) if x < y else (y, x)
+        results, asked = self._results, 0
+        try:
+            for z in subsets:
+                result = results.get((lo, hi, z)) or self._miss(x, y, z)
+                asked += 1
+                if result.independent:
+                    return z
+            return None
+        finally:
+            self._count += asked
+
+    def _miss(self, x: int, y: int, z: tuple[int, ...]) -> CiResult:
+        """Check, compute and store a query the store does not hold."""
+        key = (x, y, z) if x < y else (y, x, z)
+        if self._dag is not None:
+            result = _SEPARATED if d_separated(self._dag, *key) else _CONNECTED
+        else:
+            n = self._n_vars
+            if not (0 <= x < n and 0 <= y < n) or (z and (z[0] < 0 or z[-1] >= n)):
+                raise ValueError("variable index out of range")
+            if x == y or x in z or y in z:
+                raise ValueError("x, y and z must be distinct")
+            if not z:
+                self._fill_row(x)
+                return self._results[key]
+            result = self._compute(*key)
+        self._results[key] = result
         return result
 
     def _compute(self, x: int, y: int, z: tuple[int, ...]) -> CiResult:

@@ -13,6 +13,7 @@ clear.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import index
 from typing import Iterable, Iterator, Optional
 
 from .citest import CiEngine
@@ -24,9 +25,9 @@ Sepsets = dict[int, frozenset[int]]
 def conditioning_sets(pool: Iterable[int], limit: Optional[int] = None
                       ) -> Iterator[tuple[int, ...]]:
     """Non-empty subsets of ``pool`` in ascending cardinality,
-    lexicographic within a cardinality (pool sorted by index). ``limit``
-    caps the size."""
-    pool = sorted(pool)
+    lexicographic within a cardinality (pool sorted by index), as tuples
+    of plain ints (``operator.index``). ``limit`` caps the size."""
+    pool = sorted(set(map(index, pool)))
     top = len(pool) if limit is None else min(limit, len(pool))
     for k in range(1, top + 1):
         yield from combinations(pool, k)
@@ -41,11 +42,10 @@ def find_separator(engine: CiEngine, a: int, b: int,
     empty set is never a witness. ``engine.max_cond_size`` caps the
     enumeration, and this search is the only place the cap applies:
     hitting it simply means no separator was found at a permitted size.
+    The engine asks the subsets in one loop (``first_independent``).
     """
-    for z in conditioning_sets(pool, engine.max_cond_size):
-        if engine.ci_test(a, b, z).independent:
-            return frozenset(z)
-    return None
+    z = engine.first_independent(a, b, conditioning_sets(pool, engine.max_cond_size))
+    return None if z is None else frozenset(z)
 
 
 def recog_pc(engine: CiEngine, target: int) -> tuple[set[int], Sepsets]:

@@ -145,6 +145,33 @@ def test_d_separation_matches_path_enumeration():
             assert got == want
 
 
+def test_adjacent_pairs_are_connected_given_any_z():
+    # an edge answers "connected" without a walk: check it against path
+    # enumeration for both directions of every edge, and check that a
+    # query is still refused before that answer
+    rng = np.random.Generator(np.random.PCG64(23))
+    for _ in range(100):
+        dag = random_dag(rng)
+        n = dag.n_vars
+        for parent, child in dag.edges():
+            pool = [v for v in range(n) if v not in (parent, child)]
+            for _ in range(3):
+                size = int(rng.integers(0, min(4, len(pool)) + 1))
+                z = tuple(int(v) for v in rng.choice(pool, size=size, replace=False))
+                for x, y in ((parent, child), (child, parent)):
+                    assert d_separated(dag, x, y, z) is False
+                    assert d_separated_paths(dag, x, y, z) is False
+            for args in [(parent, child, (child,)), (child, parent, (child,)),
+                         (parent, parent, ()), (child, parent, (*pool[:1], parent))]:
+                with pytest.raises(ValueError, match="must be distinct"):
+                    d_separated(dag, *args)
+            for args in [(parent, child, (n,)), (child, parent, (-1,))]:
+                with pytest.raises(ValueError, match="out of range"):
+                    d_separated(dag, *args)
+            with pytest.raises(TypeError):
+                d_separated(dag, parent, child, (0.5,))
+
+
 def test_moral_graph_reference_matches_path_enumeration():
     rng = np.random.Generator(np.random.PCG64(22))
     answers = []

@@ -17,8 +17,10 @@ from localcausal import (
     Dataset,
     DatasetError,
     chi2_sf,
+    conditioning_sets,
     contingency,
     emb,
+    find_separator,
     g2_statistic,
     load_bif,
     sample,
@@ -26,7 +28,8 @@ from localcausal import (
 from localcausal.assets import asset_path
 from localcausal.data import ContingencyTable
 
-from oracles import chi2_sf_numeric, contingency_brute, g2_brute
+from oracles import (chi2_sf_numeric, contingency_brute, g2_brute,
+                     random_dag_fixed_edges)
 
 
 def table_from(counts) -> ContingencyTable:
@@ -213,12 +216,21 @@ BAD_QUERIES = [
 ]
 
 
+# indexes that operator.index refuses, next to keys a warm store holds
+NOT_INDEXES = [
+    (1.0, 3, ()), (1, 3.0, ()), (1.0, 3, (5,)), (1, 3, (5.0,)),
+    (1, 3, (5, 8.0)), (1, 3, [8, 5.0]), (1, 3, {5.0}), (np.float64(1), 3, ()),
+    (1, 3, (np.float64(5),)), ("1", 3, ()), (1, 3, ("5",)), (None, 3, ()),
+]
+
+
 def test_engine_rejects_bad_indexes(alarm_net):
     # each query is checked at its miss, by the engine on data and by
     # d_separated under the oracle: either way a plain ValueError, never
     # a DatasetError (exit 2, "bad data") for what is a caller's bug;
     # and a store that holds the valid keys around a bad query still
-    # does not answer it
+    # does not answer it. An index that operator.index refuses (1.0 ==
+    # 1, and hashes alike) raises TypeError, at a hit as at a miss
     near = [0, 1, 3, 5, 8, 36]
     valid = [(x, y, z) for x in near for y in near if x != y
              for k in range(3) for z in itertools.combinations(
@@ -233,7 +245,34 @@ def test_engine_rejects_bad_indexes(alarm_net):
                 with pytest.raises(ValueError, match=message) as info:
                     engine.ci_test(x, y, z)
                 assert not isinstance(info.value, DatasetError), (x, y, z)
+            for x, y, z in NOT_INDEXES:
+                with pytest.raises(TypeError):
+                    engine.ci_test(x, y, z)
+                with pytest.raises(TypeError):
+                    find_separator(engine, x, y, z or [5])
             assert engine.test_count == count
+
+
+def test_separator_search_counts_up_to_a_refused_query(alarm_net):
+    # a search stopped by a refused subset counts the subsets answered
+    # before it, as a ci_test loop would; the answers stay stored
+    for make in engine_makers(alarm_net):
+        for warm in (False, True):
+            engine = make()
+            if warm:
+                for z in [(5,), (8,), (5, 8)]:
+                    engine.ci_test(1, 3, z)
+            count = engine.test_count
+            for subsets, message in [([(5,), (8,), (3,)], "distinct"),
+                                     ([(5,), (8,), (5, 37)], "out of range")]:
+                with pytest.raises(ValueError, match=message):
+                    engine.first_independent(1, 3, subsets)
+                assert engine.test_count == count + 2
+                count = engine.test_count
+            with pytest.raises(ValueError, match="out of range"):
+                engine.first_independent(1, 37, [(5,)])
+            assert engine.test_count == count
+            assert {(1, 3, (5,)), (1, 3, (8,))} <= engine._results.keys()
 
 
 def test_engine_canonicalises_z_before_the_lookup(alarm_net, monkeypatch):
@@ -516,6 +555,48 @@ def test_level0_queries_ask_the_scanned_variable_first(monkeypatch):
         engines.append(CiEngine.g2(data))
         emb(engines[-1], target)
     assert sum(fills) <= 1.25 * len(asked)
+
+
+def separator_searches(alarm_net):
+    """(engine factory taking max_cond_size, searches) on alarm data, the
+    alarm DAG and two random 12-node DAGs. A search is (x, y, pool);
+    pools hold 0 to 5 variables, and every search is asked again with x
+    and y swapped, so that later ones meet a warm store."""
+    data = sample(alarm_net, 500, 6)
+    rng = np.random.Generator(np.random.PCG64(41))
+    dags = [alarm_net.dag] + [random_dag_fixed_edges(rng, 12) for _ in range(2)]
+    makers = [(lambda cap: CiEngine.g2(data, max_cond_size=cap), data.n_vars)]
+    makers += [(lambda cap, dag=dag: CiEngine.oracle(dag, max_cond_size=cap),
+                dag.n_vars) for dag in dags]
+    out = []
+    for make, n in makers:
+        searches = []
+        for _ in range(40):
+            x, y = (int(v) for v in rng.choice(n, size=2, replace=False))
+            others = [v for v in range(n) if v not in (x, y)]
+            size = int(rng.integers(0, 6))
+            searches.append((x, y, [int(v) for v in
+                                    rng.choice(others, size=size, replace=False)]))
+        out.append((make, searches + [(y, x, pool[::-1]) for x, y, pool in searches]))
+    return out
+
+
+@pytest.mark.parametrize("cap", [None, 0, 1])
+def test_separator_search_matches_a_ci_test_loop(alarm_net, cap):
+    # find_separator's one engine loop against the ci_test loop it
+    # replaced: the same separator, the same counter steps, and the same
+    # store, key for key and in the same order
+    for make, searches in separator_searches(alarm_net):
+        loop, engine = make(cap), make(cap)
+        assert any(not pool for _, _, pool in searches)
+        for x, y, pool in searches:
+            before = loop.test_count, engine.test_count
+            want = next((frozenset(z) for z in conditioning_sets(pool, cap)
+                         if loop.ci_test(x, y, z).independent), None)
+            assert find_separator(engine, x, y, pool) == want, (x, y, pool)
+            assert engine.test_count - before[1] == loop.test_count - before[0]
+        assert engine.test_count == loop.test_count
+        assert list(engine._results.items()) == list(loop._results.items())
 
 
 def test_engine_is_symmetric_in_x_and_y(alarm_net):

@@ -180,8 +180,8 @@ class CiEngine:
         """
         if not (type(x) is int is type(y)):
             x, y = index(x), index(y)
-        if type(z) is not tuple or z and not (
-                _INT.issuperset(map(type, z)) and all(map(lt, z, z[1:]))):
+        if type(z) is not tuple or (z and not (
+                _INT.issuperset(map(type, z)) and all(map(lt, z, z[1:])))):
             z = tuple(sorted(set(map(index, z))))
         result = (self._results.get((x, y, z) if x < y else (y, x, z))
                   or self._miss(x, y, z))
@@ -192,8 +192,8 @@ class CiEngine:
                           ) -> Optional[tuple[int, ...]]:
         """First z in ``subsets`` given which x and y are independent, or
         None: a :meth:`ci_test` loop, counted and checked alike, over the
-        strictly increasing int tuples that ``conditioning_sets`` yields.
-        A query refused at its miss ends the search uncounted."""
+        strictly increasing int tuples that ``conditioning_sets`` yields. A
+        query refused at its miss ends the search and is not counted."""
         x, y = index(x), index(y)
         lo, hi = (x, y) if x < y else (y, x)
         results, asked = self._results, 0

@@ -240,12 +240,16 @@ def sample(net: CptNetwork, n: int, seed: int) -> Dataset:
         raise ValueError("n must be nonnegative")
     rng = np.random.Generator(np.random.PCG64(seed))
     columns = np.zeros((net.dag.n_vars, n), dtype=np.int32)
+    u, cut, rows, hit = np.empty(n), np.empty(n), np.empty(n, np.intp), np.empty(n, bool)
     for v in topo_order(net.dag):
-        u = rng.random(n)
-        cdf = np.cumsum(net.cpts[v], axis=1)
-        rows = np.intp(0)  # parent configuration, C order over sorted parents
+        rng.random(out=u)
+        cdf = np.cumsum(net.cpts[v], axis=1).T.copy()  # one row per state
+        rows.fill(0)  # parent configuration, C order over sorted parents
         for p in sorted(net.dag.parents[v]):
-            rows = rows * net.cardinalities[p] + columns[p]
+            rows *= net.cardinalities[p]
+            rows += columns[p]
         for k in range(net.cardinalities[v] - 1):  # monotone cdf: codes stop at r - 1
-            columns[v] += u > cdf[rows, k]
+            # rows are in range; "clip" only spares take's buffered bounds check
+            np.greater(u, np.take(cdf[k], rows, out=cut, mode="clip"), out=hit)
+            columns[v] += hit
     return Dataset(net.dag.names, tuple(net.cardinalities), columns)

@@ -116,7 +116,10 @@ class CiEngine:
     variable's whole row (see :meth:`ci_test`); every other miss is
     computed alone. An oracle miss stores one of two shared results, one
     per verdict. A separator search asks its subsets in one loop,
-    :meth:`first_independent`. ``max_cond_size`` caps only that search
+    :meth:`first_independent`; under the oracle, a search between
+    adjacent variables only checks and counts its subsets, so the store
+    holds none of them. ``max_cond_size``, None or a nonnegative integer
+    (not a bool), caps only that search
     (:func:`~localcausal.pcdiscovery.find_separator`).
     """
 
@@ -129,9 +132,11 @@ class CiEngine:
             raise ValueError("alpha must be in (0, 1)")
         if not (math.isfinite(reliability_k) and reliability_k >= 0):
             raise ValueError("reliability_k must be finite and nonnegative")
-        if max_cond_size is not None and not (isinstance(max_cond_size, int)
-                                              and max_cond_size >= 0):
-            raise ValueError("max_cond_size must be None or an int >= 0")
+        if max_cond_size is not None:
+            if isinstance(max_cond_size, bool) or not isinstance(
+                    max_cond_size, (int, np.integer)) or max_cond_size < 0:
+                raise ValueError("max_cond_size must be None or an int >= 0")
+            max_cond_size = int(max_cond_size)
         self._data = data
         self._dag = dag
         self._n_vars = (data if dag is None else dag).n_vars
@@ -193,11 +198,22 @@ class CiEngine:
         """First z in ``subsets`` given which x and y are independent, or
         None: a :meth:`ci_test` loop, counted and checked alike, over the
         strictly increasing int tuples that ``conditioning_sets`` yields. A
-        query refused at its miss ends the search and is not counted."""
+        query refused at its miss ends the search and is not counted.
+        Under the oracle, when x and y are adjacent no z separates them:
+        each subset gets only its miss's check (a ValueError from
+        :func:`d_separated`) and its count, nothing is looked up or
+        stored, and the search returns None."""
         x, y = index(x), index(y)
         lo, hi = (x, y) if x < y else (y, x)
-        results, asked = self._results, 0
+        results, asked, dag, n = self._results, 0, self._dag, self._n_vars
         try:
+            if dag is not None and 0 <= lo and hi < n and (
+                    dag.bitsets[0][x] | dag.bitsets[1][x]) >> y & 1:
+                for z in subsets:  # no z separates an edge: check and count
+                    if (z and (z[0] < 0 or z[-1] >= n)) or x in z or y in z:
+                        d_separated(dag, x, y, z)  # raises the miss's ValueError
+                    asked += 1
+                return None
             for z in subsets:
                 result = results.get((lo, hi, z)) or self._miss(x, y, z)
                 asked += 1

@@ -143,13 +143,17 @@ def test_engine_validates_parameters():
     for k in (-1, math.nan, math.inf):
         with pytest.raises(ValueError):
             CiEngine.g2(data, reliability_k=k)
-    for size in (-1, 1.5, "2"):
+    # the cap is an integer, NumPy's included, but not a bool
+    for size in (-1, 1.5, "2", True, False, np.bool_(True), np.int64(-1)):
         with pytest.raises(ValueError):
             CiEngine.g2(data, max_cond_size=size)
         with pytest.raises(ValueError):
             CiEngine.oracle(chain_dag(), max_cond_size=size)
-    for size in (None, 0, 3):
-        assert CiEngine.g2(data, max_cond_size=size).max_cond_size == size
+    for size in (None, 0, 3, np.int64(2), np.int32(0)):
+        for engine in (CiEngine.g2(data, max_cond_size=size),
+                       CiEngine.oracle(chain_dag(), max_cond_size=size)):
+            assert engine.max_cond_size == size
+            assert type(engine.max_cond_size) is type(None if size is None else 1)
 
 
 def test_oracle_engine_chain():
@@ -581,11 +585,19 @@ def separator_searches(alarm_net):
     return out
 
 
+def adjacent(engine, x, y) -> bool:
+    dag = engine._dag
+    return dag is not None and (x in dag.parents[y] or y in dag.parents[x])
+
+
 @pytest.mark.parametrize("cap", [None, 0, 1])
 def test_separator_search_matches_a_ci_test_loop(alarm_net, cap):
     # find_separator's one engine loop against the ci_test loop it
     # replaced: the same separator, the same counter steps, and the same
-    # store, key for key and in the same order
+    # store, key for key and in the same order, except that an oracle
+    # search between adjacent variables stores nothing (every one of its
+    # queries is "connected")
+    left_out = 0
     for make, searches in separator_searches(alarm_net):
         loop, engine = make(cap), make(cap)
         assert any(not pool for _, _, pool in searches)
@@ -596,7 +608,52 @@ def test_separator_search_matches_a_ci_test_loop(alarm_net, cap):
             assert find_separator(engine, x, y, pool) == want, (x, y, pool)
             assert engine.test_count - before[1] == loop.test_count - before[0]
         assert engine.test_count == loop.test_count
-        assert list(engine._results.items()) == list(loop._results.items())
+        edge_keys = [key for key in loop._results if adjacent(loop, *key[:2])]
+        assert list(engine._results.items()) == [
+            item for item in loop._results.items() if item[0] not in edge_keys]
+        assert not any(loop._results[key].independent for key in edge_keys)
+        left_out += len(edge_keys)
+    assert left_out or cap == 0
+
+
+@pytest.mark.parametrize("cap", [None, 0, 1])
+def test_oracle_search_between_adjacent_variables_only_counts(
+        alarm_net, monkeypatch, cap):
+    # no z separates an edge: the search returns None and steps the
+    # counter by the subsets it walked, with no backend call and nothing
+    # stored; a bad subset raises as its miss would and is not counted,
+    # and a bad x or y (a negative one would wrap in Dag.bitsets) raises
+    rng = np.random.Generator(np.random.PCG64(47))
+    dags = [alarm_net.dag] + [random_dag_fixed_edges(rng, 12) for _ in range(3)]
+    calls = counting(monkeypatch)
+    for dag in dags:
+        n = dag.n_vars
+        engine = CiEngine.oracle(dag, max_cond_size=cap)
+        for a, b in dag.edges():
+            others = [v for v in range(n) if v not in (a, b)]
+            pool = [int(v) for v in rng.choice(others, size=int(rng.integers(0, 7)),
+                                                 replace=False)]
+            subsets = list(conditioning_sets(pool, cap))
+            c = others[0]
+            bad = [((min(a, b),), OVERLAP), (tuple(sorted((b, c))), OVERLAP),
+                   ((n,), RANGE), ((-1,), RANGE), ((c, n + 3), RANGE),
+                   ((-2, c), RANGE)]
+            for x, y in ((a, b), (b, a)):
+                count = engine.test_count
+                assert find_separator(engine, x, y, pool) is None
+                assert engine.test_count == count + len(subsets)
+                assert calls == [] and engine._results == {}
+                for z, message in bad:
+                    count = engine.test_count
+                    with pytest.raises(ValueError, match=message):
+                        engine.first_independent(x, y, subsets + [z] + subsets)
+                    assert engine.test_count == count + len(subsets)
+                for x2, y2 in ((x - n, y), (x, y - n), (x + n, y), (x, y + n)):
+                    with pytest.raises(ValueError, match=RANGE):
+                        engine.first_independent(x2, y2, [(c,)])
+                    assert engine.test_count == count + len(subsets)
+                calls.clear()
+        assert engine._results == {}
 
 
 def test_engine_is_symmetric_in_x_and_y(alarm_net):

@@ -89,16 +89,6 @@ class Dag:
         except ValueError:
             raise KeyError(f"unknown variable {name!r}") from None
 
-    def descendants(self, v: int) -> frozenset[int]:
-        seen: set[int] = set()
-        stack = list(self.children[v])
-        while stack:
-            u = stack.pop()
-            if u not in seen:
-                seen.add(u)
-                stack.extend(self.children[u])
-        return frozenset(seen)
-
 
 def topo_order(dag: Dag) -> list[int]:
     """Topological order by Kahn's algorithm, lowest index first among

@@ -20,8 +20,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from operator import index, lt
-from typing import Iterable, Optional
+from itertools import combinations
+from operator import index
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .bnet import Dag, d_separated
 from .data import ContingencyTable, Dataset, contingency
 
 _ROW_CELLS = 1 << 22  # codes per row-fill bincount: bounds its temporaries
-_INT = frozenset((int,))
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,12 +115,11 @@ class CiEngine:
     data, an unconditional query that misses the store fills its first
     variable's whole row (see :meth:`ci_test`); every other miss is
     computed alone. An oracle miss stores one of two shared results, one
-    per verdict. A separator search asks its subsets in one loop,
-    :meth:`first_independent`; under the oracle, a search between
-    adjacent variables only checks and counts its subsets, so the store
-    holds none of them. ``max_cond_size``, None or a nonnegative integer
-    (not a bool), caps only that search
-    (:func:`~localcausal.pcdiscovery.find_separator`).
+    per verdict. A separator search, :meth:`first_independent`, takes a
+    pool and enumerates, caps and checks its subsets itself; under the
+    oracle, a search between adjacent variables only counts its subsets,
+    so the store holds none of them. ``max_cond_size``, None or a
+    nonnegative integer (not a bool), caps only that search.
     """
 
     def __init__(self, *, data: Optional[Dataset] = None, dag: Optional[Dag] = None,
@@ -175,9 +174,9 @@ class CiEngine:
         Indexes go through ``operator.index``, so a float raises TypeError
         at a hit as at a miss. A query is checked once, at its miss, and
         only valid keys are stored, so a hit returns at once; plain ints
-        and a strictly increasing tuple z are the key as they stand. A bad
-        index or an overlap of x, y and z raises ValueError, under the
-        oracle from :func:`d_separated`.
+        and an empty tuple z are the key as they stand, and any other z is
+        sorted and deduplicated first. A bad index or an overlap of x, y
+        and z raises ValueError, under the oracle from :func:`d_separated`.
         On data, a miss with empty z computes x against every other
         variable in one pass and stores each pair it has not stored yet.
         Ask unconditional queries with the variable being scanned first,
@@ -185,43 +184,51 @@ class CiEngine:
         """
         if not (type(x) is int is type(y)):
             x, y = index(x), index(y)
-        if type(z) is not tuple or (z and not (
-                _INT.issuperset(map(type, z)) and all(map(lt, z, z[1:])))):
+        if type(z) is not tuple or z:
             z = tuple(sorted(set(map(index, z))))
         result = (self._results.get((x, y, z) if x < y else (y, x, z))
                   or self._miss(x, y, z))
         self._count += 1
         return result
 
-    def first_independent(self, x: int, y: int, subsets: Iterable[tuple[int, ...]]
+    def first_independent(self, x: int, y: int, pool: Iterable[int]
                           ) -> Optional[tuple[int, ...]]:
-        """First z in ``subsets`` given which x and y are independent, or
-        None: a :meth:`ci_test` loop, counted and checked alike, over the
-        strictly increasing int tuples that ``conditioning_sets`` yields. A
-        query refused at its miss ends the search and is not counted.
-        Under the oracle, when x and y are adjacent no z separates them:
-        each subset gets only its miss's check (a ValueError from
-        :func:`d_separated`) and its count, nothing is looked up or
-        stored, and the search returns None."""
+        """First z, a non-empty subset of ``pool`` of at most
+        ``max_cond_size`` members, given which x and y are independent,
+        or None. Subsets are asked in ascending size, lexicographic
+        within a size (pool sorted by index), each counted and answered
+        as :meth:`ci_test` would. x, y and the pool are checked once,
+        before any query: a bad index or an overlap raises ValueError
+        and leaves the counter and the store as they were. Under the
+        oracle, when x and y are adjacent no z separates them: the
+        search only counts its subsets, stores nothing and returns
+        None."""
         x, y = index(x), index(y)
-        lo, hi = (x, y) if x < y else (y, x)
-        results, asked, dag, n = self._results, 0, self._dag, self._n_vars
-        try:
-            if dag is not None and 0 <= lo and hi < n and (
-                    dag.bitsets[0][x] | dag.bitsets[1][x]) >> y & 1:
-                for z in subsets:  # no z separates an edge: check and count
-                    if (z and (z[0] < 0 or z[-1] >= n)) or x in z or y in z:
-                        d_separated(dag, x, y, z)  # raises the miss's ValueError
-                    asked += 1
-                return None
-            for z in subsets:
+        pool = sorted(set(map(index, pool)))
+        self._check(x, y, pool)
+        cap = self.max_cond_size
+        top = len(pool) if cap is None else min(cap, len(pool))
+        dag = self._dag
+        if dag is not None and (dag.bitsets[0][x] | dag.bitsets[1][x]) >> y & 1:
+            self._count += sum(math.comb(len(pool), k) for k in range(1, top + 1))
+            return None
+        results, lo, hi = self._results, min(x, y), max(x, y)
+        for k in range(1, top + 1):
+            for z in combinations(pool, k):
                 result = results.get((lo, hi, z)) or self._miss(x, y, z)
-                asked += 1
+                self._count += 1
                 if result.independent:
                     return z
-            return None
-        finally:
-            self._count += asked
+        return None
+
+    def _check(self, x: int, y: int, z: Sequence[int]) -> None:
+        """Refuse an index outside the variables, or x, y and sorted z
+        that overlap."""
+        n = self._n_vars
+        if not (0 <= x < n and 0 <= y < n) or (z and (z[0] < 0 or z[-1] >= n)):
+            raise ValueError("variable index out of range")
+        if x == y or x in z or y in z:
+            raise ValueError("x, y and z must be distinct")
 
     def _miss(self, x: int, y: int, z: tuple[int, ...]) -> CiResult:
         """Check, compute and store a query the store does not hold."""
@@ -229,11 +236,7 @@ class CiEngine:
         if self._dag is not None:
             result = _SEPARATED if d_separated(self._dag, *key) else _CONNECTED
         else:
-            n = self._n_vars
-            if not (0 <= x < n and 0 <= y < n) or (z and (z[0] < 0 or z[-1] >= n)):
-                raise ValueError("variable index out of range")
-            if x == y or x in z or y in z:
-                raise ValueError("x, y and z must be distinct")
+            self._check(x, y, z)
             if not z:
                 self._fill_row(x)
                 return self._results[key]

@@ -17,8 +17,6 @@ from itertools import combinations
 from .citest import CiEngine
 from .mbdiscovery import MbResult, emb
 
-UNDIRECTED = "undirected"
-
 
 class LocalGraph:
     """Edge marks over ``n_vars`` variables, stored per variable.

@@ -12,9 +12,7 @@ clear.
 
 from __future__ import annotations
 
-from itertools import combinations
-from operator import index
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .citest import CiEngine
 
@@ -22,29 +20,18 @@ from .citest import CiEngine
 Sepsets = dict[int, frozenset[int]]
 
 
-def conditioning_sets(pool: Iterable[int], limit: Optional[int] = None
-                      ) -> Iterator[tuple[int, ...]]:
-    """Non-empty subsets of ``pool`` in ascending cardinality,
-    lexicographic within a cardinality (pool sorted by index), as tuples
-    of plain ints (``operator.index``). ``limit`` caps the size."""
-    pool = sorted(set(map(index, pool)))
-    top = len(pool) if limit is None else min(limit, len(pool))
-    for k in range(1, top + 1):
-        yield from combinations(pool, k)
-
-
 def find_separator(engine: CiEngine, a: int, b: int,
                    pool: Iterable[int]) -> Optional[frozenset[int]]:
     """First subset of ``pool`` rendering a and b independent, or None.
 
-    Enumeration starts at single-element sets: callers only reach this
-    search for pairs already known dependent unconditionally, so the
-    empty set is never a witness. ``engine.max_cond_size`` caps the
-    enumeration, and this search is the only place the cap applies:
-    hitting it simply means no separator was found at a permitted size.
-    The engine asks the subsets in one loop (``first_independent``).
+    The engine's separator search (:meth:`CiEngine.first_independent`):
+    non-empty subsets in ascending size, capped at the engine's
+    ``max_cond_size``. Callers only reach this search for pairs already
+    known dependent unconditionally, so the empty set is never a
+    witness; hitting the cap simply means no separator was found at a
+    permitted size.
     """
-    z = engine.first_independent(a, b, conditioning_sets(pool, engine.max_cond_size))
+    z = engine.first_independent(a, b, pool)
     return None if z is None else frozenset(z)
 
 

@@ -15,8 +15,31 @@ from pathlib import Path
 import mpmath
 import numpy as np
 
-from localcausal import UNDIRECTED, CptNetwork, Dag, Dataset, DatasetError
+from localcausal import CptNetwork, Dag, Dataset, DatasetError
 from localcausal.bnet import topo_order
+
+UNDIRECTED = "undirected"  # the mark of an undirected edge in graph_marks
+
+
+def conditioning_sets(pool, limit=None) -> list[tuple[int, ...]]:
+    """Non-empty subsets of ``pool`` in ascending size, lexicographic
+    within a size (pool sorted by index), at most ``limit`` members each:
+    the order a separator search asks them in."""
+    pool = sorted(set(pool))
+    top = len(pool) if limit is None else min(limit, len(pool))
+    return [z for k in range(1, top + 1) for z in itertools.combinations(pool, k)]
+
+
+def descendants(dag: Dag, v: int) -> frozenset[int]:
+    """Variables reachable from v along directed edges, v excluded."""
+    seen: set[int] = set()
+    stack = list(dag.children[v])
+    while stack:
+        u = stack.pop()
+        if u not in seen:
+            seen.add(u)
+            stack.extend(dag.children[u])
+    return frozenset(seen)
 
 
 def g2_brute(counts: np.ndarray) -> tuple[float, int]:
@@ -92,7 +115,7 @@ def d_separated_paths(dag: Dag, x: int, y: int, z) -> bool:
     def has_conditioned_descendant(v: int) -> bool:
         if v in z:
             return True
-        return bool(dag.descendants(v) & z)
+        return bool(descendants(dag, v) & z)
 
     for path in _all_simple_paths(adj, x, y):
         blocked = False

@@ -16,7 +16,6 @@ import pytest
 from localcausal import (
     CiEngine,
     LocalGraph,
-    UNDIRECTED,
     aggregate,
     chi2_sf,
     ContingencyTable,
@@ -33,8 +32,8 @@ from localcausal import (
 from localcausal.assets import NAMES, asset_path
 from localcausal.cli import main as cli_main
 
-from oracles import (chi2_sf_numeric, g2_brute, graph_marks, random_dag,
-                     random_dag_fixed_edges)
+from oracles import (UNDIRECTED, chi2_sf_numeric, g2_brute, graph_marks,
+                     random_dag, random_dag_fixed_edges)
 
 
 def dag_suite(n_dags=200, seed=20260814):

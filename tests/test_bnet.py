@@ -17,6 +17,7 @@ from localcausal.assets import asset_path
 
 from oracles import (
     d_separated_moral,
+    descendants,
     d_separated_paths,
     random_dag,
     random_dag_fixed_edges,
@@ -40,8 +41,8 @@ def test_dag_construction_and_views():
     assert dag.index_of("d") == 3
     with pytest.raises(KeyError):
         dag.index_of("zz")
-    assert dag.descendants(0) == frozenset({1, 2, 3})
-    assert dag.descendants(3) == frozenset()
+    assert descendants(dag, 0) == frozenset({1, 2, 3})
+    assert descendants(dag, 3) == frozenset()
 
 
 def test_dag_rejects_bad_input():

@@ -17,7 +17,6 @@ from localcausal import (
     Dataset,
     DatasetError,
     chi2_sf,
-    conditioning_sets,
     contingency,
     emb,
     find_separator,
@@ -28,8 +27,8 @@ from localcausal import (
 from localcausal.assets import asset_path
 from localcausal.data import ContingencyTable
 
-from oracles import (chi2_sf_numeric, contingency_brute, g2_brute,
-                     random_dag_fixed_edges)
+from oracles import (chi2_sf_numeric, conditioning_sets, contingency_brute,
+                     g2_brute, random_dag_fixed_edges)
 
 
 def table_from(counts) -> ContingencyTable:
@@ -203,10 +202,12 @@ def test_engine_counter_is_monotone():
     assert eng.test_count == before + 3
 
 
-def engine_makers(alarm_net):
-    """Fresh-engine factories over alarm: data, then the oracle."""
+def engine_makers(alarm_net, cap=None):
+    """Fresh-engine factories over alarm, with ``max_cond_size=cap``:
+    data, then the oracle."""
     data = sample(alarm_net, 500, 2)
-    return [lambda: CiEngine.g2(data), lambda: CiEngine.oracle(alarm_net.dag)]
+    return [lambda: CiEngine.g2(data, max_cond_size=cap),
+            lambda: CiEngine.oracle(alarm_net.dag, max_cond_size=cap)]
 
 
 RANGE, OVERLAP = "variable index out of range", "x, y and z must be distinct"
@@ -234,49 +235,60 @@ def test_engine_rejects_bad_indexes(alarm_net):
     # a DatasetError (exit 2, "bad data") for what is a caller's bug;
     # and a store that holds the valid keys around a bad query still
     # does not answer it. An index that operator.index refuses (1.0 ==
-    # 1, and hashes alike) raises TypeError, at a hit as at a miss
+    # 1, and hashes alike) raises TypeError, at a hit as at a miss. A
+    # separator search checks x, y and its pool before it asks anything,
+    # so one that would ask nothing (an empty pool, or a cap of 0) still
+    # refuses a bad one
     near = [0, 1, 3, 5, 8, 36]
     valid = [(x, y, z) for x in near for y in near if x != y
              for k in range(3) for z in itertools.combinations(
                  [v for v in near if v not in (x, y)], k)]
-    for make in engine_makers(alarm_net):
-        fresh, warm = make(), make()
-        for x, y, z in valid:
-            warm.ci_test(x, y, z)
-        for engine in (fresh, warm):
-            count = engine.test_count
-            for (x, y, z), message in BAD_QUERIES:
-                with pytest.raises(ValueError, match=message) as info:
-                    engine.ci_test(x, y, z)
-                assert not isinstance(info.value, DatasetError), (x, y, z)
-            for x, y, z in NOT_INDEXES:
-                with pytest.raises(TypeError):
-                    engine.ci_test(x, y, z)
-                with pytest.raises(TypeError):
-                    find_separator(engine, x, y, z or [5])
-            assert engine.test_count == count
-
-
-def test_separator_search_counts_up_to_a_refused_query(alarm_net):
-    # a search stopped by a refused subset counts the subsets answered
-    # before it, as a ci_test loop would; the answers stay stored
-    for make in engine_makers(alarm_net):
-        for warm in (False, True):
-            engine = make()
-            if warm:
-                for z in [(5,), (8,), (5, 8)]:
-                    engine.ci_test(1, 3, z)
-            count = engine.test_count
-            for subsets, message in [([(5,), (8,), (3,)], "distinct"),
-                                     ([(5,), (8,), (5, 37)], "out of range")]:
-                with pytest.raises(ValueError, match=message):
-                    engine.first_independent(1, 3, subsets)
-                assert engine.test_count == count + 2
+    searches = BAD_QUERIES + [((3, 3, []), OVERLAP), ((1, 99, []), RANGE),
+                              ((-1, 2, []), RANGE), ((1, 99, [5]), RANGE)]
+    for cap in (None, 0):
+        for make in engine_makers(alarm_net, cap):
+            fresh, warm = make(), make()
+            for x, y, z in valid:
+                warm.ci_test(x, y, z)
+            for engine in (fresh, warm):
                 count = engine.test_count
-            with pytest.raises(ValueError, match="out of range"):
-                engine.first_independent(1, 37, [(5,)])
-            assert engine.test_count == count
-            assert {(1, 3, (5,)), (1, 3, (8,))} <= engine._results.keys()
+                for (x, y, z), message in BAD_QUERIES:
+                    with pytest.raises(ValueError, match=message) as info:
+                        engine.ci_test(x, y, z)
+                    assert not isinstance(info.value, DatasetError), (x, y, z)
+                for (x, y, pool), message in searches:
+                    with pytest.raises(ValueError, match=message) as info:
+                        find_separator(engine, x, y, pool)
+                    assert not isinstance(info.value, DatasetError), (x, y, pool)
+                for x, y, z in NOT_INDEXES:
+                    with pytest.raises(TypeError):
+                        engine.ci_test(x, y, z)
+                    with pytest.raises(TypeError):
+                        find_separator(engine, x, y, z or [5])
+                assert engine.test_count == count
+
+
+def test_refused_separator_search_asks_nothing(alarm_net):
+    # a search whose x, y or pool is bad raises before its first query,
+    # wherever the bad member sits in the pool and whatever the cap: the
+    # counter and the store are as they were, on a fresh or a warm engine
+    bad = [((1, 3, [5, 8, 3]), OVERLAP), ((1, 3, [1, 5, 8]), OVERLAP),
+           ((1, 3, [5, 8, 37]), RANGE), ((1, 3, [-1, 5, 8]), RANGE),
+           ((1, 3, {8, 5, 99}), RANGE), ((1, 37, [5]), RANGE),
+           ((-1, 3, [5]), RANGE), ((3, 3, [5]), OVERLAP)]
+    for cap in (None, 1):
+        for make in engine_makers(alarm_net, cap):
+            for warm in (False, True):
+                engine = make()
+                if warm:
+                    for z in [(5,), (8,), (5, 8)]:
+                        engine.ci_test(1, 3, z)
+                count, store = engine.test_count, list(engine._results.items())
+                for (x, y, pool), message in bad:
+                    with pytest.raises(ValueError, match=message):
+                        engine.first_independent(x, y, pool)
+                    assert engine.test_count == count, (x, y, pool)
+                    assert list(engine._results.items()) == store, (x, y, pool)
 
 
 def test_engine_canonicalises_z_before_the_lookup(alarm_net, monkeypatch):
@@ -590,7 +602,7 @@ def adjacent(engine, x, y) -> bool:
     return dag is not None and (x in dag.parents[y] or y in dag.parents[x])
 
 
-@pytest.mark.parametrize("cap", [None, 0, 1])
+@pytest.mark.parametrize("cap", [None, 0, 1, 2])
 def test_separator_search_matches_a_ci_test_loop(alarm_net, cap):
     # find_separator's one engine loop against the ci_test loop it
     # replaced: the same separator, the same counter steps, and the same
@@ -616,13 +628,13 @@ def test_separator_search_matches_a_ci_test_loop(alarm_net, cap):
     assert left_out or cap == 0
 
 
-@pytest.mark.parametrize("cap", [None, 0, 1])
+@pytest.mark.parametrize("cap", [None, 0, 1, 2])
 def test_oracle_search_between_adjacent_variables_only_counts(
         alarm_net, monkeypatch, cap):
     # no z separates an edge: the search returns None and steps the
-    # counter by the subsets it walked, with no backend call and nothing
-    # stored; a bad subset raises as its miss would and is not counted,
-    # and a bad x or y (a negative one would wrap in Dag.bitsets) raises
+    # counter by the number of subsets it would have asked, with no
+    # backend call and nothing stored; a bad pool member, or a bad x or y
+    # (a negative one would wrap in Dag.bitsets), raises and counts nothing
     rng = np.random.Generator(np.random.PCG64(47))
     dags = [alarm_net.dag] + [random_dag_fixed_edges(rng, 12) for _ in range(3)]
     calls = counting(monkeypatch)
@@ -633,25 +645,22 @@ def test_oracle_search_between_adjacent_variables_only_counts(
             others = [v for v in range(n) if v not in (a, b)]
             pool = [int(v) for v in rng.choice(others, size=int(rng.integers(0, 7)),
                                                  replace=False)]
-            subsets = list(conditioning_sets(pool, cap))
             c = others[0]
-            bad = [((min(a, b),), OVERLAP), (tuple(sorted((b, c))), OVERLAP),
-                   ((n,), RANGE), ((-1,), RANGE), ((c, n + 3), RANGE),
-                   ((-2, c), RANGE)]
+            bad = [([min(a, b)], OVERLAP), ([b, c], OVERLAP), ([n], RANGE),
+                   ([-1], RANGE), ([c, n + 3], RANGE), ([-2, c], RANGE)]
             for x, y in ((a, b), (b, a)):
                 count = engine.test_count
                 assert find_separator(engine, x, y, pool) is None
-                assert engine.test_count == count + len(subsets)
+                assert engine.test_count == count + len(conditioning_sets(pool, cap))
                 assert calls == [] and engine._results == {}
-                for z, message in bad:
-                    count = engine.test_count
+                count = engine.test_count
+                for members, message in bad:
                     with pytest.raises(ValueError, match=message):
-                        engine.first_independent(x, y, subsets + [z] + subsets)
-                    assert engine.test_count == count + len(subsets)
+                        engine.first_independent(x, y, pool + members)
                 for x2, y2 in ((x - n, y), (x, y - n), (x + n, y), (x, y + n)):
                     with pytest.raises(ValueError, match=RANGE):
-                        engine.first_independent(x2, y2, [(c,)])
-                    assert engine.test_count == count + len(subsets)
+                        engine.first_independent(x2, y2, [c])
+                assert engine.test_count == count
                 calls.clear()
         assert engine._results == {}
 

@@ -5,7 +5,6 @@ from localcausal import (
     CiEngine,
     Dag,
     LocalGraph,
-    UNDIRECTED,
     apply_orientations,
     elcs,
     emb,
@@ -13,7 +12,7 @@ from localcausal import (
     true_mb,
 )
 
-from oracles import graph_marks, meek_closure_brute, random_dag
+from oracles import UNDIRECTED, graph_marks, meek_closure_brute, random_dag
 
 
 def test_marks_and_neighbors():

@@ -4,24 +4,34 @@ import pytest
 from localcausal import (
     CiEngine,
     Dag,
-    conditioning_sets,
     d_separated,
     find_separator,
     recog_pc,
     true_mb,
 )
 
-from oracles import random_dag
+from oracles import conditioning_sets, random_dag
 
 
-def test_conditioning_sets_order():
-    got = list(conditioning_sets({3, 1, 2}, limit=2))
+def test_conditioning_sets_order(monkeypatch):
+    # a separator search asks its pool's subsets in the reference order
+    got = conditioning_sets({3, 1, 2}, limit=2)
     assert got == [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
+    dag = Dag.from_edges("abcdef", [("a", "e"), ("e", "f")])  # b, c, d isolated
+    asked, miss = [], CiEngine._miss
+    monkeypatch.setattr(CiEngine, "_miss",
+                        lambda self, x, y, z: asked.append(z) or miss(self, x, y, z))
+    eng = CiEngine.oracle(dag, max_cond_size=2)
+    assert find_separator(eng, 5, 0, [3, 1, 2, 2]) is None
+    assert asked == got and eng.test_count == len(got)
 
 
 def test_conditioning_sets_limits():
-    assert list(conditioning_sets([1, 2], limit=0)) == []
-    assert list(conditioning_sets([], limit=None)) == []
+    assert conditioning_sets([1, 2], limit=0) == []
+    assert conditioning_sets([], limit=None) == []
+    eng = CiEngine.oracle(Dag.from_edges("abc", [("a", "b"), ("b", "c")]))
+    assert find_separator(eng, 0, 2, []) is None
+    assert eng.test_count == 0
 
 
 def test_find_separator_chain():

@@ -10,14 +10,12 @@ repeated query costs a lookup but still counts as a test; a query is
 checked only at its miss. An unconditional data query that misses the
 store computes its first variable against every other variable in one
 pass (a row fill), bit for bit as the per-pair path would; under the
-oracle it is one AND of two ancestor bitsets. scipy is imported at the
-first G² p-value: oracle learning, BIF parsing, sampling and CSV I/O
-never load it.
+oracle it is one AND of two ancestor bitsets. p-values come from
+:func:`chi2_sf`, which needs only ``math``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -30,6 +28,8 @@ from .bnet import Dag, d_separated
 from .data import ContingencyTable, Dataset, contingency
 
 _ROW_CELLS = 1 << 22  # codes per row-fill bincount: bounds its temporaries
+_CLOSED_DOF = 30     # chi2_sf's closed forms up to here: O(dof) terms, each cheap
+_EPS = 2.0 ** -53
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,21 +56,57 @@ _SEPARATED = CiResult(True, 0.0, 1.0, 0, True)
 _CONNECTED = CiResult(False, 1.0, 0.0, 0, True)
 
 
-@functools.cache
-def _gammaincc():
-    """``scipy.special.gammaincc``, imported once, at the first call."""
-    from scipy.special import gammaincc
-    return gammaincc
-
-
 def chi2_sf(x: float, dof: int) -> float:
-    """Chi-square survival function, the regularized upper incomplete
-    gamma Q(dof/2, x/2)."""
+    """Chi-square survival function Q(dof/2, x/2), from ``math`` alone.
+
+    Up to ``_CLOSED_DOF`` dof, while exp(-x/2) is a normal float, it sums
+    the closed forms of Abramowitz & Stegun 26.4.4 (even dof) and 26.4.5
+    (odd dof: erfc plus a sum) term by term from exp(-x/2). Elsewhere, as
+    Cephes' ``igamc`` does, it scales the series for 1 - Q (x < dof) or the
+    continued fraction for Q by a prefactor taken in log space. Relative
+    error is under 1e-12 where Q >= 1e-300. ``dof`` is an integer >= 1 (a
+    float raises TypeError) and ``x`` is >= 0 (NaN raises ValueError).
+    """
+    dof = index(dof)
     if dof < 1:
         raise ValueError("dof must be at least 1")
-    if x < 0:
+    if not x >= 0:
         raise ValueError("statistic must be nonnegative")
-    return float(_gammaincc()(dof / 2.0, x / 2.0))
+    a, y = dof / 2, x / 2
+    if dof <= _CLOSED_DOF and y < 700:
+        q, term, c = 0.0, math.exp(-y), 1.0
+        if dof & 1:
+            q, term, c = math.erfc(math.sqrt(y)), term * math.sqrt(4 * y / math.pi), 1.5
+        while c <= a:
+            q += term
+            term *= y / c
+            c += 1
+        return q
+    if y == 0 or y == math.inf:
+        return float(y == 0)
+    if a < 15:
+        lp = a * math.log(y) - y - math.lgamma(a)
+    else:  # lgamma(a) = (a - 1/2) ln a - a + ln(2 pi) / 2 + s
+        t, u = (y - a) / a, 1 / (a * a)
+        s = (1 / 12 - u * (1 / 360 - u * (1 / 1260 - u * (1 / 1680 - u / 1188)))) / a
+        lp = a * (math.log1p(t) - t) + 0.5 * math.log(a / (2 * math.pi)) - s
+    if y < a:
+        r, term, total = a, 1.0, 1.0
+        while term > total * _EPS:
+            r += 1
+            term *= y / r
+            total += term
+        return 1 - math.exp(lp) * total / a
+    b = y + 1 - a
+    c, d = math.inf, 1 / b
+    q, i = d, 1
+    while True:
+        an, b = i * (a - i), b + 2
+        d, c = 1 / (an * d + b), b + an / c
+        q *= d * c
+        if abs(d * c - 1) <= _EPS:
+            return math.exp(lp) * q
+        i += 1
 
 
 def g2_statistic(table: ContingencyTable) -> tuple[float, int]:
@@ -81,27 +117,29 @@ def g2_statistic(table: ContingencyTable) -> tuple[float, int]:
     stratum as (nonzero rows - 1) * (nonzero columns - 1), floored at 0,
     so strata with empty rows or columns do not inflate the p-value.
     """
-    stat, dof = _g2(table.counts[None])
-    return float(stat[0]), int(dof[0])
+    stat, dof = _g2(table.counts)
+    return float(stat), int(dof)
 
 
 def _g2(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """G² and dof of each table in a (G, rx, ry, n_strata) stack.
+    """G² and dof of one (rx, ry, n_strata) table, or of each table in a
+    (G, rx, ry, n_strata) stack.
 
     Each table's terms are summed as one contiguous row, the same
     pairwise order as a flat sum over that table alone, so a table gives
-    the same bits whatever stack it sits in.
+    the same bits whatever stack it sits in. Its dof counts nonzero
+    N_i.k * N_.jk, less nonzero N_i.k and N_.jk, plus nonzero N_..k.
     """
     c = np.ascontiguousarray(counts, dtype=np.float64)
-    row = c.sum(axis=2, keepdims=True)        # N_i.k
-    col = c.sum(axis=1, keepdims=True)        # N_.jk
-    tot = row.sum(axis=1, keepdims=True)      # N_..k
-    ratio = np.divide(c * tot, row * col, out=np.ones_like(c), where=c > 0)
-    stat = 2.0 * (c * np.log(ratio)).reshape(len(c), -1).sum(axis=1)
-    nz_rows = (row[:, :, 0] > 0).sum(axis=1)
-    nz_cols = (col[:, 0] > 0).sum(axis=1)
-    dof = (np.maximum(nz_rows - 1, 0) * np.maximum(nz_cols - 1, 0)).sum(axis=1)
-    return np.maximum(stat, 0.0), dof
+    row = c.sum(axis=-2, keepdims=True)       # N_i.k
+    col = c.sum(axis=-3, keepdims=True)       # N_.jk
+    tot = row.sum(axis=-3, keepdims=True)     # N_..k
+    rc = row * col
+    ratio = np.divide(c * tot, rc, out=np.ones_like(c), where=c > 0)
+    stat = 2.0 * (c * np.log(ratio)).reshape(*c.shape[:-3], -1).sum(axis=-1)
+    axes = None if c.ndim == 3 else (1, 2, 3)   # None: numpy's fast count
+    nz = [np.count_nonzero(a, axis=axes) for a in (rc, row, col, tot)]
+    return np.maximum(stat, 0.0), nz[0] - nz[1] - nz[2] + nz[3]
 
 
 class CiEngine:
@@ -247,9 +285,10 @@ class CiEngine:
     def _compute(self, x: int, y: int, z: tuple[int, ...]) -> CiResult:
         table = contingency(self._data, x, y, z)
         stat, dof = g2_statistic(table)
-        return self._verdict(stat, dof, chi2_sf(stat, dof) if dof else 1.0, table.n)
+        return self._verdict(stat, dof, table.n)
 
-    def _verdict(self, stat: float, dof: int, p: float, n: int) -> CiResult:
+    def _verdict(self, stat: float, dof: int, n: int) -> CiResult:
+        p = chi2_sf(stat, dof) if dof else 1.0
         reliable = (dof > 0 or self.reliability_k == 0) and n >= self.reliability_k * dof
         return CiResult(independent=reliable and p > self.alpha,
                         statistic=stat, p_value=p, dof=dof, reliable=reliable)
@@ -261,7 +300,6 @@ class CiEngine:
         as ``(min, max)`` before its G² so that it matches the per-pair
         path bit for bit."""
         cols, cards = self._data.columns, self._data.cardinalities
-        gammaincc = _gammaincc()
         rx, n = cards[x], cols.shape[1]
         groups: dict[tuple[int, bool], list[int]] = {}
         for u in range(self._n_vars):
@@ -276,7 +314,7 @@ class CiEngine:
                 counts = np.bincount(flat.ravel(), minlength=len(us) * rx * r)
                 counts = counts.reshape(len(us), rx, r, 1)
                 stat, dof = _g2(counts.transpose(0, 2, 1, 3) if before else counts)
-                p = np.where(dof > 0, gammaincc(np.maximum(dof, 1) / 2.0, stat / 2.0), 1.0)
-                for u, s, d, q in zip(us, stat.tolist(), dof.tolist(), p.tolist()):
+                for u, s, d in zip(us, stat.tolist(), dof.tolist()):
                     key = (u, x, ()) if before else (x, u, ())
-                    self._results.setdefault(key, self._verdict(s, d, q, n))
+                    if key not in self._results:
+                        self._results[key] = self._verdict(s, d, n)

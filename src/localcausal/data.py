@@ -299,16 +299,18 @@ def contingency(data: Dataset, x: int, y: int, z=()) -> ContingencyTable:
         raise DatasetError("variable index out of range")
     rx, ry = data.cardinalities[x], data.cardinalities[y]
     n = data.n_rows
-    code = np.zeros(n, dtype=np.int64)
-    n_strata = 1
+    flat = data.columns[x].astype(np.int64) * ry + data.columns[y]
+    code, n_strata = None, 1
     for j in z:
-        code *= data.cardinalities[j]
-        code += data.columns[j]
+        col = data.columns[j]
+        code = col.astype(np.int64) if code is None else code * data.cardinalities[j] + col
         n_strata *= data.cardinalities[j]
         if n_strata > n:
             uniq, code = np.unique(code, return_inverse=True)
             n_strata = len(uniq)
-    flat = (data.columns[x].astype(np.int64) * ry + data.columns[y]) * n_strata
-    flat += code
+    if z:
+        flat *= n_strata
+        flat += code
     counts = np.bincount(flat, minlength=rx * ry * n_strata).reshape(rx, ry, n_strata)
-    return ContingencyTable(counts.compress(counts.any(axis=(0, 1)), axis=2), n)
+    seen = counts.any(axis=(0, 1))
+    return ContingencyTable(counts if seen.all() else counts.compress(seen, axis=2), n)

@@ -7,6 +7,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,6 +19,7 @@ from localcausal import (
     DatasetError,
     chi2_sf,
     contingency,
+    elcs,
     emb,
     find_separator,
     g2_statistic,
@@ -116,6 +118,57 @@ def test_chi2_sf_rejects_bad_arguments():
         chi2_sf(1.0, 0)
     with pytest.raises(ValueError):
         chi2_sf(-0.5, 1)
+
+
+def chi2_sf_points():
+    """(x, dof) from 1e-8 through x = dof to far tails, at dof 1-60, 100,
+    440, 1000 and 5000: the closed forms, the series, the continued
+    fraction and the edges between them."""
+    points = []
+    for dof in [*range(1, 61), 100, 440, 1000, 5000]:
+        sd = math.sqrt(2 * dof)
+        xs = [1e-8, 1e-3, 0.5, 2.0, 1399.0, 1401.0, 2000.0, 5000.0]
+        xs += [dof * f for f in (0.1, 0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0, 5.0)]
+        xs += [dof + k * sd for k in (-3, -1, 1, 3, 10, 30)]
+        points += [(x, dof) for x in xs if x > 0]
+    return points
+
+
+def test_chi2_sf_matches_mpmath_at_every_dof_and_tail():
+    mpmath.mp.dps = 40
+    for x, dof in chi2_sf_points():
+        true = mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(x) / 2,
+                               regularized=True)
+        got = chi2_sf(x, dof)
+        if true >= mpmath.mpf("1e-300"):
+            assert abs(got - true) <= 1e-12 * true, (x, dof, got, float(true))
+        else:   # e.g. dof 2, x = 5000: underflow to 0.0 is allowed
+            assert abs(got - true) <= 1e-300, (x, dof, got)
+
+
+def test_chi2_sf_edge_arguments():
+    for dof in (1, 2, 31, 5000):
+        assert chi2_sf(math.inf, dof) == 0.0
+        assert chi2_sf(0.0, dof) == 1.0
+        with pytest.raises(ValueError):
+            chi2_sf(math.nan, dof)
+    assert chi2_sf(3.5, np.int64(4)) == chi2_sf(3.5, 4)
+    for dof in (2.0, 2.5, np.float64(3.0), "3", None):
+        with pytest.raises(TypeError):
+            chi2_sf(3.5, dof)
+
+
+def test_chi2_sf_agrees_with_scipy_on_an_elcs_sweep(alarm_net):
+    special = pytest.importorskip("scipy.special")
+    engine = CiEngine.g2(sample(alarm_net, 2000, 1))
+    for target in range(alarm_net.dag.n_vars):
+        elcs(engine, target)
+    tested = [r for r in engine._results.values() if r.dof > 0]
+    assert len(tested) > 1000
+    for r in tested:
+        ref = float(special.gammaincc(r.dof / 2, r.statistic / 2))
+        assert (r.p_value > engine.alpha) == (ref > engine.alpha), r
+        assert abs(r.p_value - ref) <= 1e-11 * ref + 1e-300, (r, ref)
 
 
 def chain_dag():
@@ -671,11 +724,12 @@ def test_engine_is_symmetric_in_x_and_y(alarm_net):
             assert make().ci_test(x, y, z) == make().ci_test(y, x, z)
 
 
-SCIPY_GUARD = textwrap.dedent("""
+NO_SCIPY = textwrap.dedent("""
     import sys
-    from localcausal import (CiEngine, chi2_sf, d_separated, elcs, load_bif,
+    from localcausal import (CiEngine, chi2_sf, d_separated, elcs, emb, load_bif,
                              load_csv, sample, save_csv)
     from localcausal.assets import asset_path
+    from localcausal.cli import main
 
     net = load_bif(asset_path("alarm"))
     data = sample(net, 2000, 1)
@@ -685,24 +739,24 @@ SCIPY_GUARD = textwrap.dedent("""
     oracle = CiEngine.oracle(net.dag)
     assert elcs(oracle, 0).mbs_learned >= 1 and oracle.test_count > 0
     engine = CiEngine.g2(data)
-    assert "scipy.special" not in sys.modules, "loaded before a G2 test"
-
-    results = [engine.ci_test(14, 13), engine.ci_test(14, 13, (12,))]
-    assert "scipy.special" in sys.modules, "not loaded by a G2 test"
-    from scipy.special import gammaincc
-    for r in results:
-        assert r.dof > 0
-        assert r.p_value == float(gammaincc(r.dof / 2, r.statistic / 2))
-    for x, dof in [(0.0, 1), (3.84, 1), (12.5, 7), (0.1, 40), (1e3, 30)]:
-        assert chi2_sf(x, dof) == float(gammaincc(dof / 2, x / 2)), (x, dof)
+    emb(engine, 14)
+    stored = engine._results.values()
+    assert any(r.dof > 0 for r in stored), "no G2 p-value computed"
+    assert any(r.dof > 0 for k, r in engine._results.items() if k[2])
+    assert all(0.0 < chi2_sf(x, dof) < 1.0 for x, dof in
+               [(12.5, 7), (12.5, 40), (4900.0, 5000), (5100.0, 5000), (1420.0, 3)])
+    assert main(["learn", sys.argv[1], "--target", "STROKEVOLUME",
+                 "--out", sys.argv[1] + ".json"]) == 0
+    loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+    assert not loaded, loaded
 """)
 
 
-def test_scipy_loads_only_at_the_first_g2_p_value(tmp_path):
-    # a fresh interpreter: this one loaded scipy long ago
+def test_scipy_never_loads(tmp_path):
+    # a fresh interpreter: this one may have loaded scipy as a reference
     src = Path(localcausal.citest.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-c", SCIPY_GUARD,
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY,
                            str(tmp_path / "alarm.csv")], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr

@@ -82,7 +82,7 @@ def chi2_sf(x: float, dof: int) -> float:
             term *= y / c
             c += 1
         return q
-    if y == 0 or y == math.inf:
+    if y == 0 or y == math.inf:  # the logs below need 0 < y < inf
         return float(y == 0)
     if a < 15:
         lp = a * math.log(y) - y - math.lgamma(a)

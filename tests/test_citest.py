@@ -135,10 +135,10 @@ def chi2_sf_points():
 
 
 def test_chi2_sf_matches_mpmath_at_every_dof_and_tail():
-    mpmath.mp.dps = 40
     for x, dof in chi2_sf_points():
-        true = mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(x) / 2,
-                               regularized=True)
+        with mpmath.workdps(40):
+            true = mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(x) / 2,
+                                   regularized=True)
         got = chi2_sf(x, dof)
         if true >= mpmath.mpf("1e-300"):
             assert abs(got - true) <= 1e-12 * true, (x, dof, got, float(true))

@@ -19,9 +19,10 @@ metrics are the wall time of ``cli.main`` alone (``wall_s``) and peak
 RSS; its answer is the report without its ``time_ms`` fields.
 
 The summary gives per metric each side's median and interquartile range
-and the pairs the change was lower in, and per side the git SHA. The
-exit status is 1 when two answers differ. ``--json PATH`` adds the
-summary to that file's ``cases``, replacing an entry for the same case.
+and the pairs the change was lower in, and per side the git SHA and the
+line count of ``src/localcausal/*.py`` (``src_lines``). The exit status
+is 1 when two answers differ. ``--json PATH`` adds the summary to that
+file's ``cases``, replacing an entry for the same case.
 Examples, from the repository root::
 
     python scripts/ab.py ../baseline . --workload oracle-12 --seed 31 \\
@@ -113,6 +114,12 @@ def git_sha(checkout: Path) -> str:
     return sha + ("-dirty" if dirty else "")
 
 
+def src_lines(checkout: Path) -> int:
+    """Lines in the package's modules, as ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n")
+               for p in (checkout / "src" / "localcausal").glob("*.py"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline", type=Path)
@@ -163,7 +170,7 @@ def main(argv=None) -> int:
     summary = {"case": case, "pairs": args.pairs, "same_answers": same}
     print(f"\n{json.dumps(case)} pairs={args.pairs}")
     for side, checkout in sides.items():
-        summary[side] = {"sha": git_sha(checkout)}
+        summary[side] = {"sha": git_sha(checkout), "src_lines": src_lines(checkout)}
         for m in names:
             values = [r[m] for r in runs[side]]
             summary[side][m] = dict(zip(("median", "iqr"), spread(values)),
@@ -171,7 +178,8 @@ def main(argv=None) -> int:
         if args.workload:
             distinct = {json.dumps(a, sort_keys=True) for a in answers[side]}
             summary[side]["answers"] = [json.loads(a) for a in sorted(distinct)]
-        print(f"  {side:<8} sha {summary[side]['sha']}",
+        print(f"  {side:<8} sha {summary[side]['sha']}, "
+              f"{summary[side]['src_lines']} src lines",
               *summary[side].get("answers", ()))
     base, new = summary["baseline"], summary["change"]
     for m in names:

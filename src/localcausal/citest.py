@@ -8,10 +8,10 @@ every query; reported test counts in benchmarks are exactly this
 counter. Beneath the counter each engine memoises its results, so a
 repeated query costs a lookup but still counts as a test; a query is
 checked only at its miss. An unconditional data query that misses the
-store computes its first variable against every other variable in one
-pass (a row fill), bit for bit as the per-pair path would; under the
-oracle it is one AND of two ancestor bitsets. p-values come from
-:func:`chi2_sf`, which needs only ``math``.
+store computes its first variable against each variable not yet paired
+with it in the store, in one pass (a row fill) and bit for bit as the
+per-pair path would; under the oracle it is one AND of two ancestor
+bitsets. p-values come from :func:`chi2_sf`, which needs only ``math``.
 """
 
 from __future__ import annotations
@@ -150,8 +150,8 @@ class CiEngine:
     ``(min(x, y), max(x, y), sorted z)`` is computed once, in that order,
     and stored for the life of the engine, so (x, y, z) and (y, x, z)
     give the same result. The store belongs to this engine alone. On
-    data, an unconditional query that misses the store fills its first
-    variable's whole row (see :meth:`ci_test`); every other miss is
+    data, an unconditional query that misses the store fills the rest of
+    its first variable's row (see :meth:`ci_test`); every other miss is
     computed alone. An oracle miss stores one of two shared results, one
     per verdict. A separator search, :meth:`first_independent`, takes a
     pool and enumerates, caps and checks its subsets itself; under the
@@ -215,8 +215,8 @@ class CiEngine:
         and an empty tuple z are the key as they stand, and any other z is
         sorted and deduplicated first. A bad index or an overlap of x, y
         and z raises ValueError, under the oracle from :func:`d_separated`.
-        On data, a miss with empty z computes x against every other
-        variable in one pass and stores each pair it has not stored yet.
+        On data, a miss with empty z computes and stores, in one pass, x
+        against every variable whose pair with x is not stored yet.
         Ask unconditional queries with the variable being scanned first,
         so that one row answers the whole scan.
         """
@@ -294,16 +294,16 @@ class CiEngine:
                         statistic=stat, p_value=p, dof=dof, reliable=reliable)
 
     def _fill_row(self, x: int) -> None:
-        """Store x against every other variable at level 0. Partners that
-        share a cardinality and a side of x are counted by one bincount,
-        at most ``_ROW_CELLS`` codes at a time, and each table is laid out
-        as ``(min, max)`` before its G² so that it matches the per-pair
-        path bit for bit."""
+        """Compute and store x against every partner whose level-0 pair
+        the store lacks. Partners that share a cardinality and a side of
+        x are counted by one bincount, at most ``_ROW_CELLS`` codes at a
+        time, and each table is laid out as ``(min, max)`` before its G²
+        so that it matches the per-pair path bit for bit."""
         cols, cards = self._data.columns, self._data.cardinalities
-        rx, n = cards[x], cols.shape[1]
+        rx, n, results = cards[x], cols.shape[1], self._results
         groups: dict[tuple[int, bool], list[int]] = {}
         for u in range(self._n_vars):
-            if u != x:
+            if u != x and (min(u, x), max(u, x), ()) not in results:
                 groups.setdefault((cards[u], u < x), []).append(u)
         step = max(1, _ROW_CELLS // max(n, 1))
         for (r, before), members in groups.items():
@@ -316,5 +316,4 @@ class CiEngine:
                 stat, dof = _g2(counts.transpose(0, 2, 1, 3) if before else counts)
                 for u, s, d in zip(us, stat.tolist(), dof.tolist()):
                     key = (u, x, ()) if before else (x, u, ())
-                    if key not in self._results:
-                        self._results[key] = self._verdict(s, d, n)
+                    results[key] = self._verdict(s, d, n)

@@ -126,15 +126,13 @@ def _remove_false_pc(engine: CiEngine, target: int, pc: set[int],
     reached through a common true member), and dropping one early would
     make the other unremovable.
     """
-    pc = set(pc)
-    spouses = {y: set(v) for y, v in spouses.items()}
     found: dict[int, frozenset[int]] = {}
     for y in sorted(pc):
         pool = (spouses.get(y, set()) | pc) - {y}
         z = find_separator(engine, target, y, pool)
         if z is not None:
             found[y] = z
-    pc -= found.keys()
+    pc = pc - found.keys()
     spouses = {y: v for y, v in spouses.items() if y in pc and v}
     return pc, spouses, found
 

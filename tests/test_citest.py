@@ -481,8 +481,9 @@ def canonical(x, y, z):
 
 def counting(monkeypatch):
     """Record the work that reaches the backends: ("pair", x, y, z) for
-    a key computed alone, ("row", x) for a level-0 row fill."""
-    calls = []
+    a key computed alone, ("row", x, tables) for a level-0 row fill that
+    ran G² on that many tables."""
+    calls, tables = [], [0]
     for name in ("contingency", "d_separated"):
         original = getattr(localcausal.citest, name)
 
@@ -491,20 +492,27 @@ def counting(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(localcausal.citest, name, wrapper)
-    fill_row = CiEngine._fill_row
+    fill_row, g2 = CiEngine._fill_row, localcausal.citest._g2
+
+    def count_g2(counts):
+        tables[0] += len(counts) if counts.ndim == 4 else 1
+        return g2(counts)
 
     def row(engine, x):
-        calls.append(("row", x))
-        return fill_row(engine, x)
+        start = tables[0]
+        fill_row(engine, x)
+        calls.append(("row", x, tables[0] - start))
 
+    monkeypatch.setattr(localcausal.citest, "_g2", count_g2)
     monkeypatch.setattr(CiEngine, "_fill_row", row)
     return calls
 
 
 def expected_work(engine, stream):
     """The backend work a fresh engine owes ``stream``: each level-0 miss
-    on data fills its first argument's row, each other miss computes its
-    key alone, and a key already stored costs nothing."""
+    on data fills its first argument's row with the pairs not stored yet,
+    each other miss computes its key alone, and a key already stored
+    costs nothing."""
     stored, work = set(), []
     for x, y, z in stream:
         key = canonical(x, y, z)
@@ -514,8 +522,9 @@ def expected_work(engine, stream):
             work.append(("pair", *key))
             stored.add(key)
         else:
-            work.append(("row", x))
-            stored |= {canonical(x, u, ()) for u in range(engine.n_vars) if u != x}
+            row = {canonical(x, u, ()) for u in range(engine.n_vars) if u != x}
+            work.append(("row", x, len(row - stored)))
+            stored |= row
     return work
 
 
@@ -602,28 +611,24 @@ def test_row_fill_matches_per_pair_computation(alarm_net, monkeypatch, cells):
 
 def test_level0_queries_ask_the_scanned_variable_first(monkeypatch):
     # the learners put the scanned variable first, so a row fill answers
-    # a whole scan; asking the other way round fills a row per partner
+    # a whole scan; asking the other way round fills a row per partner,
+    # whose tables mostly answer pairs nobody asked
     net = load_bif(asset_path("child10"))
     data = sample(net, 1000, 1)
-    asked, fills = set(), []
-    ci_test, fill_row = CiEngine.ci_test, CiEngine._fill_row
+    asked, ci_test = set(), CiEngine.ci_test
+    calls = counting(monkeypatch)
 
     def spy_test(engine, x, y, z=()):
         if not z:
             asked.add((id(engine), min(x, y), max(x, y)))
         return ci_test(engine, x, y, z)
 
-    def spy_fill(engine, x):
-        fills.append(engine.n_vars - 1)
-        return fill_row(engine, x)
-
     monkeypatch.setattr(CiEngine, "ci_test", spy_test)
-    monkeypatch.setattr(CiEngine, "_fill_row", spy_fill)
     engines = []   # kept alive, so that no two share an id
     for target in range(0, net.dag.n_vars, 20):
         engines.append(CiEngine.g2(data))
         emb(engines[-1], target)
-    assert sum(fills) <= 1.25 * len(asked)
+    assert sum(c[2] for c in calls if c[0] == "row") <= 1.25 * len(asked)
 
 
 def separator_searches(alarm_net):

@@ -15,6 +15,8 @@ ASSETS = ROOT / "src" / "localcausal" / "assets"
 WORKLOAD = ["--workload", "io-100k", "--seed", "1", "--seconds", "0.1",
             "--pairs", "2"]
 SWEEP = ["--bif", str(ASSETS / "trace.bif"), "--sizes", "200", "--pairs", "2"]
+SRC_LINES = sum(len(p.read_text(encoding="utf-8").splitlines())
+                for p in (ROOT / "src" / "localcausal").glob("*.py"))
 
 
 def load_script(name):
@@ -81,6 +83,7 @@ def test_both_modes_land_in_one_book(book, checkouts):
         assert case["pairs"] == 2 and case["same_answers"]
         assert 0 <= case["change_faster_in"] <= 2 and case["speedup"] > 0
         for side in ("baseline", "change"):
+            assert case[side]["src_lines"] == SRC_LINES
             for m in metrics:
                 assert len(case[side][m]["runs"]) == 2
                 assert case[side][m]["iqr"] >= 0

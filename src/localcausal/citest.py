@@ -303,7 +303,7 @@ class CiEngine:
         rx, n, results = cards[x], cols.shape[1], self._results
         groups: dict[tuple[int, bool], list[int]] = {}
         for u in range(self._n_vars):
-            if u != x and (min(u, x), max(u, x), ()) not in results:
+            if u != x and ((u, x, ()) if u < x else (x, u, ())) not in results:
                 groups.setdefault((cards[u], u < x), []).append(u)
         step = max(1, _ROW_CELLS // max(n, 1))
         for (r, before), members in groups.items():

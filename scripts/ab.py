@@ -22,7 +22,10 @@ The summary gives per metric each side's median and interquartile range
 and the pairs the change was lower in, and per side the git SHA and the
 line count of ``src/localcausal/*.py`` (``src_lines``). The exit status
 is 1 when two answers differ. ``--json PATH`` adds the summary to that
-file's ``cases``, replacing an entry for the same case.
+file's ``cases``. An entry is keyed by its case and both sides' SHAs: a
+rerun of the same code pair replaces its own entry, and an A/B of other
+code appends, so the book keeps the trajectory. A checkout without
+``.git`` reports the SHA ``unknown``, so such checkouts share a key.
 Examples, from the repository root::
 
     python scripts/ab.py ../baseline . --workload oracle-12 --seed 31 \\
@@ -120,6 +123,11 @@ def src_lines(checkout: Path) -> int:
                for p in (checkout / "src" / "localcausal").glob("*.py"))
 
 
+def entry_key(summary: dict) -> tuple:
+    """A book entry's identity: its case and the SHAs of both sides."""
+    return (summary["case"], summary["baseline"]["sha"], summary["change"]["sha"])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline", type=Path)
@@ -197,7 +205,8 @@ def main(argv=None) -> int:
                 if args.json.exists() else {"cases": []})
         book["machine"] = {"platform": platform.platform(), "cpus": os.cpu_count(),
                            "python": platform.python_version()}
-        book["cases"] = [c for c in book["cases"] if c["case"] != case]
+        book["cases"] = [c for c in book["cases"]
+                         if entry_key(c) != entry_key(summary)]
         book["cases"].append(summary)
         args.json.write_text(json.dumps(book, indent=2) + "\n", encoding="utf-8")
     return 0 if same else 1

@@ -10,7 +10,8 @@ repeated query costs a lookup but still counts as a test; a query is
 checked only at its miss. An unconditional data query that misses the
 store computes its first variable against each variable not yet paired
 with it in the store, in one pass (a row fill) and bit for bit as the
-per-pair path would; under the oracle it is one AND of two ancestor
+per-pair path would, each count the popcount of an AND of two of the
+dataset's value bitsets; under the oracle it is one AND of two ancestor
 bitsets. p-values come from :func:`chi2_sf`, which needs only ``math``.
 """
 
@@ -27,7 +28,7 @@ import numpy as np
 from .bnet import Dag, d_separated
 from .data import ContingencyTable, Dataset, contingency
 
-_ROW_CELLS = 1 << 22  # codes per row-fill bincount: bounds its temporaries
+_ROW_WORDS = 1 << 20  # words per row-fill AND: bounds its temporaries
 _CLOSED_DOF = 30     # chi2_sf's closed forms up to here: O(dof) terms, each cheap
 _EPS = 2.0 ** -53
 
@@ -296,23 +297,24 @@ class CiEngine:
     def _fill_row(self, x: int) -> None:
         """Compute and store x against every partner whose level-0 pair
         the store lacks. Partners that share a cardinality and a side of
-        x are counted by one bincount, at most ``_ROW_CELLS`` codes at a
-        time, and each table is laid out as ``(min, max)`` before its G²
-        so that it matches the per-pair path bit for bit."""
-        cols, cards = self._data.columns, self._data.cardinalities
-        rx, n, results = cards[x], cols.shape[1], self._results
+        x are counted together, each count the popcount of an AND of two
+        rows of :attr:`Dataset.value_bits`, at most ``_ROW_WORDS`` words
+        ANDed at a time. Each table is laid out as ``(min, max)`` before
+        its G² so that it matches the per-pair path bit for bit."""
+        cards, n, results = self._data.cardinalities, self._data.n_rows, self._results
+        bits, first = self._data.value_bits
+        rx = cards[x]
+        x_bits = bits[first[x]:first[x] + rx, None]
         groups: dict[tuple[int, bool], list[int]] = {}
         for u in range(self._n_vars):
             if u != x and ((u, x, ()) if u < x else (x, u, ())) not in results:
                 groups.setdefault((cards[u], u < x), []).append(u)
-        step = max(1, _ROW_CELLS // max(n, 1))
         for (r, before), members in groups.items():
+            step = max(1, _ROW_WORDS // max(rx * r * bits.shape[1], 1))
             for i in range(0, len(members), step):
                 us = members[i:i + step]
-                flat = cols[us] + np.arange(0, len(us) * rx * r, rx * r)[:, None]
-                flat += cols[x].astype(np.int64) * r
-                counts = np.bincount(flat.ravel(), minlength=len(us) * rx * r)
-                counts = counts.reshape(len(us), rx, r, 1)
+                rows = bits[first[us][:, None, None] + np.arange(r)]
+                counts = np.bitwise_count(x_bits & rows).sum(axis=-1)[..., None]
                 stat, dof = _g2(counts.transpose(0, 2, 1, 3) if before else counts)
                 for u, s, d in zip(us, stat.tolist(), dof.tolist()):
                     key = (u, x, ()) if before else (x, u, ())

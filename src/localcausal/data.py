@@ -9,6 +9,7 @@ slot in downstream tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,20 @@ class Dataset:
     @property
     def n_rows(self) -> int:
         return self.columns.shape[1]
+
+    @cached_property
+    def value_bits(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(bits, first)``: the columns as value bitsets, built on first
+        use. ``bits`` is uint64 of shape (sum of cardinalities, ceil(rows /
+        64)); bit i of row ``first[v] + b`` is set iff ``columns[v, i] ==
+        b``, and padding bits are 0. A count n(x=a, u=b) is the popcount
+        of the AND of two rows (Moore & Lee, JAIR 1998)."""
+        first = np.cumsum((0, *self.cardinalities))
+        bits = np.zeros((first[-1], -(-self.n_rows // 64) * 8), dtype=np.uint8)
+        for v, r in enumerate(self.cardinalities):
+            bits[first[v]:first[v + 1], :(self.n_rows + 7) // 8] = np.packbits(
+                self.columns[v] == np.arange(r)[:, None], axis=1, bitorder="little")
+        return bits.view(np.uint64), first[:-1]
 
     def index_of(self, name: str) -> int:
         try:

@@ -573,9 +573,10 @@ def test_engines_share_no_results(alarm_net, monkeypatch):
 
 
 def row_kernel_datasets(alarm_net):
-    """(dataset, reliability_k) pairs: bundled-network samples and
+    """(dataset, reliability_k) pairs: bundled-network samples,
     degenerate data (no rows, one row, a constant column, sparse strata
-    with empty rows and columns)."""
+    with empty rows and columns) and 63, 64 and 65 rows, around the
+    first word boundary of the value bitsets."""
     nets = [(alarm_net, 2000), (load_bif(asset_path("child10")), 300),
             (load_bif(asset_path("insurance")), 1000)]
     out = [(sample(net, n, 4), 5.0) for net, n in nets]
@@ -588,13 +589,17 @@ def row_kernel_datasets(alarm_net):
     for n in (0, 1, 6, 30):
         for k in (5.0, 0.0):
             out.append((Dataset(names, cards, cols[:, :n].copy()), k))
+    cards = (3, 2, 4, 3)             # a word of value bits and either side
+    cols = rng.integers(0, np.array(cards)[:, None], size=(4, 65)).astype(np.int32)
+    for n in (63, 64, 65):
+        out.append((Dataset(tuple("wxyz"), cards, cols[:, :n].copy()), 5.0))
     return out
 
 
-@pytest.mark.parametrize("cells", [localcausal.citest._ROW_CELLS, 1])
-def test_row_fill_matches_per_pair_computation(alarm_net, monkeypatch, cells):
-    # cells=1 counts one partner per bincount
-    monkeypatch.setattr(localcausal.citest, "_ROW_CELLS", cells)
+@pytest.mark.parametrize("words", [localcausal.citest._ROW_WORDS, 1])
+def test_row_fill_matches_per_pair_computation(alarm_net, monkeypatch, words):
+    # words=1 ANDs one partner at a time
+    monkeypatch.setattr(localcausal.citest, "_ROW_WORDS", words)
     for data, k in row_kernel_datasets(alarm_net):
         n = data.n_vars
         for x in sorted({0, n // 3, n - 1}):

@@ -3,7 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from localcausal import Dataset, DatasetError, contingency, load_csv, save_csv
+from localcausal import (Dataset, DatasetError, contingency, load_bif, load_csv,
+                         sample, save_csv)
+from localcausal.assets import asset_path
 from localcausal.data import _BLOCK_ROWS
 
 from oracles import contingency_brute, load_csv_reference, save_csv_reference
@@ -53,6 +55,31 @@ def test_dataset_rejects_mismatched_cardinalities():
     cols = np.zeros((2, 3), dtype=np.int32)
     with pytest.raises(DatasetError, match="match variable count"):
         Dataset(("a", "b"), (2,), cols)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 63, 64, 65, 1000])
+def test_value_bits_hold_one_row_per_variable_and_value(n_rows):
+    cards = (2, 3, 5, 2)
+    rng = np.random.Generator(np.random.PCG64(n_rows))
+    cols = rng.integers(0, np.array(cards)[:, None], size=(4, n_rows)).astype(np.int32)
+    data = Dataset(tuple("abcd"), cards, cols)
+    bits, first = data.value_bits
+    assert bits.dtype == np.uint64 and bits.shape == (12, -(-n_rows // 64))
+    assert first.tolist() == [0, 2, 5, 10]
+    unpacked = np.unpackbits(bits.view(np.uint8), axis=1, bitorder="little")
+    assert not unpacked[:, n_rows:].any()  # padding
+    for v, r in enumerate(cards):
+        for b in range(r):
+            assert np.array_equal(unpacked[first[v] + b, :n_rows], cols[v] == b)
+    assert data.value_bits is data.value_bits
+
+
+def test_sample_and_csv_io_never_build_value_bits(tmp_path):
+    # built lazily, for CI tests alone: I/O pays neither its time nor its memory
+    data = sample(load_bif(asset_path("alarm")), 100, 1)
+    save_csv(data, tmp_path / "d.csv")
+    loaded = load_csv(tmp_path / "d.csv")
+    assert "value_bits" not in data.__dict__ and "value_bits" not in loaded.__dict__
 
 
 def test_load_csv_with_sidecar(tmp_path):

@@ -112,7 +112,9 @@ def test_cli_case_keeps_the_committed_format(book):
 
 
 def test_other_answers_exit_1_and_replace_their_case(ab, checkouts, book,
-                                                     tmp_path):
+                                                     tmp_path, monkeypatch):
+    # entries are keyed by case and both SHAs: a rerun of a code pair
+    # replaces its own entry, and an A/B of other code appends
     path = tmp_path / "book.json"
     shutil.copy(book[0], path)
     before = json.loads(path.read_text(encoding="utf-8"))["cases"]
@@ -122,14 +124,27 @@ def test_other_answers_exit_1_and_replace_their_case(ab, checkouts, book,
     assert text.count("default=0.01") == 1
     cli.write_text(text.replace("default=0.01", "default=0.05"),
                    encoding="utf-8")
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = ab.main([str(checkouts[0]), str(other), *SWEEP[:-1], "1",
-                        "--json", str(path)])
-    assert code == 1
-    after = json.loads(path.read_text(encoding="utf-8"))["cases"]
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = ab.main([str(checkouts[0]), str(other), *SWEEP[:-1], "1",
+                            "--json", str(path)])
+        assert code == 1
+        return json.loads(path.read_text(encoding="utf-8"))["cases"]
+
+    after = run()  # no .git anywhere: every side's SHA is "unknown"
+    assert {c["change"]["sha"] for c in before + after} == {"unknown"}
     assert after[0] == before[0]  # the perfbench case is left alone
     assert len(after) == 2 and after[1]["case"] == before[1]["case"]
     assert after[1]["pairs"] == 1 and not after[1]["same_answers"]
+    sha = ab.git_sha
+    monkeypatch.setattr(ab, "git_sha", lambda checkout: (
+        "f00d" if checkout == other.resolve() else sha(checkout)))
+    for _ in range(2):  # appended once, then replaced by its rerun
+        appended = run()
+        assert appended[:2] == after and len(appended) == 3
+        assert appended[2]["change"]["sha"] == "f00d"
+        assert appended[2]["case"] == before[1]["case"]
 
 
 @pytest.mark.parametrize("argv", [

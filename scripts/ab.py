@@ -20,8 +20,12 @@ RSS; its answer is the report without its ``time_ms`` fields.
 
 The summary gives per metric each side's median and interquartile range
 and the pairs the change was lower in, and per side the git SHA and the
-line count of ``src/localcausal/*.py`` (``src_lines``). The exit status
-is 1 when two answers differ. ``--json PATH`` adds the summary to that
+line count of ``src/localcausal/*.py`` (``src_lines``). A ``--workload``
+summary also names, under ``over_bound``, each ``end_to_end`` metric of
+this repository's ``BENCHMARK.json`` whose change median is worse than
+the baseline median by more than the metric's bound, with its relative
+change; they are printed too. The exit status is 1 when two answers
+differ, and only then. ``--json PATH`` adds the summary to that
 file's ``cases``. An entry is keyed by its case and both sides' SHAs: a
 rerun of the same code pair replaces its own entry, and an A/B of other
 code appends, so the book keeps the trajectory. A checkout without
@@ -46,6 +50,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 CHILD = """import resource, sys, time
 from localcausal.cli import main
 start = time.perf_counter()
@@ -121,6 +126,21 @@ def src_lines(checkout: Path) -> int:
     """Lines in the package's modules, as ``wc -l`` counts them."""
     return sum(p.read_bytes().count(b"\n")
                for p in (checkout / "src" / "localcausal").glob("*.py"))
+
+
+def over_bound(base: dict, new: dict) -> dict[str, float]:
+    """Each ``end_to_end`` metric of ``BENCHMARK.json`` that both sides
+    measured and whose change median is worse than the baseline median by
+    more than its bound, mapped to its relative change."""
+    spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]
+    out = {}
+    for metric in spec:
+        name = metric["name"]
+        if name in base and name in new:
+            change = new[name]["median"] / base[name]["median"] - 1
+            if (change if metric["better"] == "lower" else -change) > metric["bound"]:
+                out[name] = change
+    return out
 
 
 def entry_key(summary: dict) -> tuple:
@@ -199,6 +219,10 @@ def main(argv=None) -> int:
               f"{nm:.4g} ({new[m]['iqr']:.4g}), {100 * (nm / bm - 1):+.1f}%, "
               f"lower in {won} of {args.pairs} pairs")
     summary["speedup"] = base[names[0]]["median"] / new[names[0]]["median"]
+    if args.workload:
+        summary["over_bound"] = over_bound(base, new)
+        print("  over bound:", ", ".join(f"{m} {100 * c:+.1f}%" for m, c
+                                        in summary["over_bound"].items()) or "none")
     print(f"  same answers: {same}")
     if args.json is not None:
         book = (json.loads(args.json.read_text(encoding="utf-8"))

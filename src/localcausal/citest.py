@@ -130,14 +130,19 @@ def _g2(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pairwise order as a flat sum over that table alone, so a table gives
     the same bits whatever stack it sits in. Its dof counts nonzero
     N_i.k * N_.jk, less nonzero N_i.k and N_.jk, plus nonzero N_..k.
+    Sums call ``np.add.reduce`` and the terms share one buffer: on these
+    small tables numpy's Python-level wrappers cost more than the math.
     """
     c = np.ascontiguousarray(counts, dtype=np.float64)
-    row = c.sum(axis=-2, keepdims=True)       # N_i.k
-    col = c.sum(axis=-3, keepdims=True)       # N_.jk
-    tot = row.sum(axis=-3, keepdims=True)     # N_..k
+    row = np.add.reduce(c, axis=-2, keepdims=True)      # N_i.k
+    col = np.add.reduce(c, axis=-3, keepdims=True)      # N_.jk
+    tot = np.add.reduce(row, axis=-3, keepdims=True)    # N_..k
     rc = row * col
-    ratio = np.divide(c * tot, rc, out=np.ones_like(c), where=c > 0)
-    stat = 2.0 * (c * np.log(ratio)).reshape(*c.shape[:-3], -1).sum(axis=-1)
+    terms = np.ones(c.shape)
+    np.divide(c * tot, rc, out=terms, where=c > 0)
+    np.log(terms, out=terms)
+    terms *= c
+    stat = 2.0 * np.add.reduce(terms.reshape(*c.shape[:-3], -1), axis=-1)
     axes = None if c.ndim == 3 else (1, 2, 3)   # None: numpy's fast count
     nz = [np.count_nonzero(a, axis=axes) for a in (rc, row, col, tot)]
     return np.maximum(stat, 0.0), nz[0] - nz[1] - nz[2] + nz[3]

@@ -8,6 +8,7 @@ slot in downstream tables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -26,8 +27,10 @@ class Dataset:
     Attributes:
         names: variable names, one per column of the source file.
         cardinalities: number of categories per variable, each >= 2.
-        columns: int32 array of shape (n_vars, n_rows); ``columns[i]`` is
-            the code vector of variable ``i``.
+        columns: C-contiguous int32 array of shape (n_vars, n_rows);
+            ``columns[i]`` is the code vector of variable ``i``. Integer or
+            bool input with codes in range(min(cardinality, 2**31)) is kept
+            as int32, int32 input uncopied; anything else is a DatasetError.
     """
 
     names: tuple[str, ...]
@@ -43,12 +46,15 @@ class Dataset:
             raise DatasetError("every cardinality must be at least 2")
         if self.columns.ndim != 2 or self.columns.shape[0] != len(self.names):
             raise DatasetError("columns must be a (n_vars, n_rows) array")
+        if self.columns.dtype.kind not in "biu":
+            raise DatasetError(f"columns must be integer codes, not {self.columns.dtype}")
         for i, r in enumerate(self.cardinalities):
-            col = self.columns[i]
+            col, r = self.columns[i], min(r, 2**31)
             if col.size and (col.min() < 0 or col.max() >= r):
                 raise DatasetError(
                     f"variable {self.names[i]!r} has codes outside range({r})"
                 )
+        object.__setattr__(self, "columns", np.ascontiguousarray(self.columns, np.int32))
 
     @property
     def n_vars(self) -> int:
@@ -303,29 +309,37 @@ def contingency(data: Dataset, x: int, y: int, z=()) -> ContingencyTable:
     (tuple positions follow ascending variable index). Unobserved strata
     do not appear.
 
-    The stratum code grows one conditioning variable at a time and is
-    renumbered by rank once its range outgrows the row count, which keeps
-    the order and bounds the single ``bincount`` by the rows.
+    When S, the product of z's cardinalities, is at most the row count and
+    rx * ry * S < 2**31, the cell code (x * ry + y) * S + stratum is folded
+    in place in one int32 array. Otherwise an int64 stratum code is ranked
+    anew whenever it outgrows the rows: order kept, ``bincount`` bounded.
     """
     z = sorted(set(z))
     if x == y or x in z or y in z:
         raise DatasetError("x, y and z must be distinct")
     if min(x, y, *z) < 0 or max(x, y, *z) >= data.n_vars:
         raise DatasetError("variable index out of range")
-    rx, ry = data.cardinalities[x], data.cardinalities[y]
-    n = data.n_rows
-    flat = data.columns[x].astype(np.int64) * ry + data.columns[y]
-    code, n_strata = None, 1
-    for j in z:
-        col = data.columns[j]
-        code = col.astype(np.int64) if code is None else code * data.cardinalities[j] + col
-        n_strata *= data.cardinalities[j]
-        if n_strata > n:
-            uniq, code = np.unique(code, return_inverse=True)
-            n_strata = len(uniq)
-    if z:
-        flat *= n_strata
-        flat += code
+    cards, cols, n = data.cardinalities, data.columns, data.n_rows
+    rx, ry, n_strata = cards[x], cards[y], math.prod(cards[j] for j in z)
+    if n_strata <= n and rx * ry * n_strata < 2**31:
+        flat = cols[x] * ry
+        flat += cols[y]
+        for j in z:
+            flat *= cards[j]
+            flat += cols[j]
+    else:
+        flat = cols[x].astype(np.int64) * ry + cols[y]
+        code, n_strata = None, 1
+        for j in z:
+            col = cols[j]
+            code = col.astype(np.int64) if code is None else code * cards[j] + col
+            n_strata *= cards[j]
+            if n_strata > n:
+                uniq, code = np.unique(code, return_inverse=True)
+                n_strata = len(uniq)
+        if z:
+            flat *= n_strata
+            flat += code
     counts = np.bincount(flat, minlength=rx * ry * n_strata).reshape(rx, ry, n_strata)
-    seen = counts.any(axis=(0, 1))
+    seen = counts.reshape(-1, n_strata).any(axis=0)
     return ContingencyTable(counts if seen.all() else counts.compress(seen, axis=2), n)

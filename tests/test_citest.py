@@ -99,6 +99,53 @@ def test_g2_matches_brute_force_on_random_tables():
         assert dof == brute_dof
 
 
+def pinned_g2_tables():
+    """Seeded tables for the G² bit pins: sparse ones, one stratum or
+    many, an empty row and empty columns, and one row-fill-shaped
+    (G, rx, ry, 1) stack with an empty row and an empty column."""
+    rng = np.random.Generator(np.random.PCG64(2026))
+    tables = []
+    for shape in [(2, 2, 1), (3, 4, 1), (2, 3, 5), (4, 2, 7), (5, 5, 3),
+                  (3, 3, 40), (4, 4, 100)]:
+        keep = rng.random(shape) < 0.7
+        tables.append(rng.integers(0, 60, size=shape) * keep)
+    counts = rng.integers(1, 60, size=(4, 3, 6))
+    counts[2] = 0           # an empty row in every stratum
+    counts[:, 1, ::2] = 0   # an empty column in every other stratum
+    tables.append(counts)
+    stack = rng.integers(0, 60, size=(5, 3, 2, 1))
+    stack[1, 0] = 0
+    stack[3, :, 1] = 0
+    return tables, stack
+
+
+# float.hex of each statistic and its dof, recorded before numpy's
+# wrappers left _g2: its rewrites must keep every bit
+G2_PINS = [
+    ("0x1.566d3e5fc8f30p+1", 1), ("0x1.740c2cea5b5f2p+6", 6),
+    ("0x1.2d32a97726008p+8", 9), ("0x1.a800ae7131065p+8", 19),
+    ("0x1.0a6f08b19b886p+10", 48), ("0x1.f5d515dbd1366p+11", 141),
+    ("0x1.4b56b754df080p+14", 877), ("0x1.4fe9fd01cbdf4p+8", 18),
+]
+G2_STACK_PINS = [
+    ("0x1.2422887fc73ecp+6", 2), ("0x1.075771b9c9c94p+5", 1),
+    ("0x1.f127125a7b544p+0", 2), ("0x0.0p+0", 0), ("0x1.076dee2f94319p+3", 2),
+]
+
+
+def test_g2_bits_are_pinned():
+    tables, stack = pinned_g2_tables()
+    got = [g2_statistic(ContingencyTable(c, int(c.sum()))) for c in tables]
+    assert [(s.hex(), d) for s, d in got] == G2_PINS
+    for layout in (stack, stack.transpose(0, 2, 1, 3)):  # as a row fill lays it
+        stat, dof = localcausal.citest._g2(layout)
+        got = list(zip(map(float.hex, stat.tolist()), dof.tolist()))
+        assert got == [(s.hex(), d) for s, d in (
+            g2_statistic(ContingencyTable(t, int(t.sum()))) for t in layout)]
+        if layout is stack:
+            assert got == G2_STACK_PINS
+
+
 def test_chi2_sf_standard_quantiles():
     assert chi2_sf(3.841458820694124, 1) == pytest.approx(0.05, abs=1e-9)
     assert chi2_sf(6.634896601021213, 1) == pytest.approx(0.01, abs=1e-9)

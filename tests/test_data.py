@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -575,3 +576,89 @@ def test_contingency_matches_brute_force_on_wide_conditioning_sets():
         table = contingency(data, x, y, z)
         assert table.n == rows
         brute_strata(table, data, x, y, z)
+
+
+@pytest.mark.parametrize("n_rows, folds", [(12, True), (11, False)])
+def test_contingency_folds_while_strata_fit_the_rows(monkeypatch, n_rows, folds):
+    # S = 3 * 4 strata: S = n folds in int32, S = n + 1 ranks the strata
+    rng = np.random.Generator(np.random.PCG64(n_rows))
+    cards = (2, 3, 3, 4)
+    cols = np.stack([rng.integers(0, r, size=n_rows) for r in cards]).astype(np.int32)
+    data = Dataset(tuple("abcd"), cards, cols)
+    ranks, unique = [], np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: ranks.append(1) or unique(*a, **k))
+    table = contingency(data, 0, 1, (2, 3))
+    assert bool(ranks) is not folds
+    assert table.n == n_rows
+    brute_strata(table, data, 0, 1, (2, 3))
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("cards, z, dtype", [
+    ((2, 357913941, 3), (2,), np.int32),     # rx * ry * S = 2**31 - 2
+    ((2, 2**29, 2), (2,), np.int64),         # rx * ry * S = 2**31
+    ((2**31, 2**31, 2**31, 10), (), np.int64),
+])
+def test_contingency_cell_codes_at_the_int32_bound(monkeypatch, cards, z, dtype):
+    # A table of 2**31 cells takes 16 GB, so bincount is stopped and the
+    # cell codes it was given are checked against a recount in Python
+    # ints. 2**31 - 1 is prime: 2**31 - 2 is the largest rx * ry * S
+    # below the bound.
+    codes = [0, 1, 9, 2**29 - 1, 2**31 - 1, 357913940]
+    cols = np.array([[min(c, r - 1) for c in np.roll(codes, j)]
+                     for j, r in enumerate(cards)], dtype=np.int32)
+    data = Dataset(tuple("abcd")[:len(cards)], cards, cols)
+    got = []
+
+    def bincount(flat, minlength):
+        got.append((flat.dtype, flat.tolist(), minlength))
+        raise _Stop
+
+    monkeypatch.setattr(np, "bincount", bincount)
+    with pytest.raises(_Stop):
+        contingency(data, 0, 1, z)
+    rx, ry, s = cards[0], cards[1], math.prod(cards[j] for j in z)
+    expected = [(int(a) * ry + int(b)) * s + sum(int(cols[j, i]) for j in z)
+                for i, (a, b) in enumerate(zip(cols[0], cols[1]))]
+    assert got == [(np.dtype(dtype), expected, rx * ry * s)]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64, np.bool_])
+def test_dataset_stores_integer_columns_as_int32(dtype):
+    # uint8 codes of cardinality 200 would overflow a cell code folded in uint8
+    rng = np.random.Generator(np.random.PCG64(26))
+    cards = (200, 200, 3, 4)
+    top = np.minimum(cards, 2 if dtype is np.bool_ else 200)
+    cols = rng.integers(0, top[:, None], size=(4, 500))
+    data = Dataset(tuple("abcd"), cards, cols.astype(dtype))
+    ref = Dataset(tuple("abcd"), cards, cols.astype(np.int32))
+    assert data.columns.dtype == np.int32 and data.columns.flags.c_contiguous
+    for z in [(), (2,), (2, 3)]:
+        table = contingency(data, 0, 1, z)
+        assert np.array_equal(table.counts, contingency(ref, 0, 1, z).counts)
+        brute_strata(table, data, 0, 1, z)
+
+
+def test_dataset_keeps_int32_columns_uncopied():
+    cols = np.zeros((2, 5), dtype=np.int32)
+    assert np.shares_memory(Dataset(("a", "b"), (2, 2), cols).columns, cols)
+    fortran = np.asfortranarray(cols)
+    kept = Dataset(("a", "b"), (2, 2), fortran).columns
+    assert kept.flags.c_contiguous and np.array_equal(kept, cols)
+
+
+@pytest.mark.parametrize("cols", [np.zeros((1, 3)), np.zeros((1, 3), dtype=np.float32),
+                                  np.array([["0", "1", "0"]])])
+def test_dataset_rejects_non_integer_columns(cols):
+    with pytest.raises(DatasetError, match="must be integer codes"):
+        Dataset(("a",), (2,), cols)
+
+
+def test_dataset_rejects_codes_beyond_int32():
+    cols = np.array([[0, 2**31 - 1, 2**31]], dtype=np.int64)
+    with pytest.raises(DatasetError, match=r"outside range\(2147483648\)"):
+        Dataset(("a",), (2**32,), cols)
+    Dataset(("a",), (2**32,), cols[:, :2])

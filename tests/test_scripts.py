@@ -90,6 +90,10 @@ def test_both_modes_land_in_one_book(book, checkouts):
     digests = {a["digest"] for s in ("baseline", "change")
                for a in perf[s]["answers"]}
     assert len(digests) == 1 and "answers" not in cli["baseline"]
+    # 0.1 s runs are noise: only the form of the bound check is checked
+    assert set(perf["over_bound"]) <= {"run_s", "setup_s", "peak_rss_mb"}
+    assert "over_bound" not in cli
+    assert "  over bound: " in outputs[0] and "over bound" not in outputs[1]
     # the side that runs first alternates from pair to pair
     for out in outputs:
         order = [ln.split()[:3] for ln in out.splitlines()
@@ -100,6 +104,26 @@ def test_both_modes_land_in_one_book(book, checkouts):
     # byte-compiled up front: a script run as __main__ leaves no .pyc
     for checkout in checkouts:
         assert list((checkout / "perfbench" / "__pycache__").glob("run.*.pyc"))
+
+
+def test_over_bound_flags_end_to_end_metrics_past_their_bound(ab):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    base = {m: {"median": 2.0} for m in ("run_s", "setup_s", "peak_rss_mb",
+                                         "first_pass_s")}
+    assert ab.over_bound(base, base) == {}
+    for metric in spec["end_to_end"]:
+        name, bound = metric["name"], metric["bound"]
+        sign = 1 if metric["better"] == "lower" else -1
+        for excess, flagged in ((0.01, True), (-0.01, False), (-1.5, False)):
+            change = sign * (bound + excess)
+            new = {**base, name: {"median": 2.0 * (1 + change)}}
+            got = ab.over_bound(base, new)
+            assert got == ({name: pytest.approx(change)} if flagged else {})
+            # a metric one side lacks is not judged
+            assert ab.over_bound({k: v for k, v in base.items() if k != name},
+                                 new) == {}
+    # a metric BENCHMARK.json does not bound is never flagged
+    assert ab.over_bound(base, {**base, "first_pass_s": {"median": 20.0}}) == {}
 
 
 def test_cli_case_keeps_the_committed_format(book):

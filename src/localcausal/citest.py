@@ -130,8 +130,8 @@ def _g2(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pairwise order as a flat sum over that table alone, so a table gives
     the same bits whatever stack it sits in. Its dof counts nonzero
     N_i.k * N_.jk, less nonzero N_i.k and N_.jk, plus nonzero N_..k.
-    Sums call ``np.add.reduce`` and the terms share one buffer: on these
-    small tables numpy's Python-level wrappers cost more than the math.
+    Sums call ``np.add.reduce`` directly and the terms fill one buffer:
+    fewer temporaries and Python-level calls on these small tables.
     """
     c = np.ascontiguousarray(counts, dtype=np.float64)
     row = np.add.reduce(c, axis=-2, keepdims=True)      # N_i.k

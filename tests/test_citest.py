@@ -119,8 +119,8 @@ def pinned_g2_tables():
     return tables, stack
 
 
-# float.hex of each statistic and its dof, recorded before numpy's
-# wrappers left _g2: its rewrites must keep every bit
+# float.hex of each statistic and its dof, recorded at 164dbf8, where _g2
+# summed with ndarray.sum: a rewrite of _g2 must keep every bit
 G2_PINS = [
     ("0x1.566d3e5fc8f30p+1", 1), ("0x1.740c2cea5b5f2p+6", 6),
     ("0x1.2d32a97726008p+8", 9), ("0x1.a800ae7131065p+8", 19),

@@ -580,15 +580,16 @@ def test_contingency_matches_brute_force_on_wide_conditioning_sets():
 
 @pytest.mark.parametrize("n_rows, folds", [(12, True), (11, False)])
 def test_contingency_folds_while_strata_fit_the_rows(monkeypatch, n_rows, folds):
-    # S = 3 * 4 strata: S = n folds in int32, S = n + 1 ranks the strata
+    # S = 3 * 4 strata: S = n folds in int32, S = n + 1 ranks in int64
     rng = np.random.Generator(np.random.PCG64(n_rows))
     cards = (2, 3, 3, 4)
     cols = np.stack([rng.integers(0, r, size=n_rows) for r in cards]).astype(np.int32)
     data = Dataset(tuple("abcd"), cards, cols)
-    ranks, unique = [], np.unique
-    monkeypatch.setattr(np, "unique", lambda *a, **k: ranks.append(1) or unique(*a, **k))
+    codes, bincount = [], np.bincount
+    monkeypatch.setattr(np, "bincount", lambda flat, **k: codes.append(flat.dtype)
+                        or bincount(flat, **k))
     table = contingency(data, 0, 1, (2, 3))
-    assert bool(ranks) is not folds
+    assert codes == [np.dtype(np.int32 if folds else np.int64)]
     assert table.n == n_rows
     brute_strata(table, data, 0, 1, (2, 3))
 
@@ -621,8 +622,9 @@ def test_contingency_cell_codes_at_the_int32_bound(monkeypatch, cards, z, dtype)
     with pytest.raises(_Stop):
         contingency(data, 0, 1, z)
     rx, ry, s = cards[0], cards[1], math.prod(cards[j] for j in z)
-    expected = [(int(a) * ry + int(b)) * s + sum(int(cols[j, i]) for j in z)
-                for i, (a, b) in enumerate(zip(cols[0], cols[1]))]
+    stratum = cols[z[0]] if z else np.zeros_like(cols[0])   # |z| <= 1
+    expected = [(int(a) * ry + int(b)) * s + int(c)
+                for a, b, c in zip(cols[0], cols[1], stratum)]
     assert got == [(np.dtype(dtype), expected, rx * ry * s)]
 
 

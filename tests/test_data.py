@@ -606,8 +606,8 @@ class _Stop(Exception):
 def test_contingency_cell_codes_at_the_int32_bound(monkeypatch, cards, z, dtype):
     # A table of 2**31 cells takes 16 GB, so bincount is stopped and the
     # cell codes it was given are checked against a recount in Python
-    # ints. 2**31 - 1 is prime: 2**31 - 2 is the largest rx * ry * S
-    # below the bound.
+    # ints. 2**31 - 1 is prime, so with cardinalities >= 2 the largest
+    # rx * ry * S below the bound is 2**31 - 2.
     codes = [0, 1, 9, 2**29 - 1, 2**31 - 1, 357913940]
     cols = np.array([[min(c, r - 1) for c in np.roll(codes, j)]
                      for j, r in enumerate(cards)], dtype=np.int32)

@@ -24,12 +24,15 @@ line count of ``src/localcausal/*.py`` (``src_lines``). A ``--workload``
 summary also names, under ``over_bound``, each ``end_to_end`` metric of
 this repository's ``BENCHMARK.json`` whose change median is worse than
 the baseline median by more than the metric's bound, with its relative
-change; they are printed too. The exit status is 1 when two answers
-differ, and only then. ``--json PATH`` adds the summary to that
-file's ``cases``. An entry is keyed by its case and both sides' SHAs: a
-rerun of the same code pair replaces its own entry, and an A/B of other
-code appends, so the book keeps the trajectory. A checkout without
-``.git`` reports the SHA ``unknown``, so such checkouts share a key.
+change, and under ``gain_rule`` whether each metric but the pass count
+meets the rule a claimed gain must meet (see ``gain_rule``); the metrics
+over their bound and those that meet the rule are printed too. The exit
+status is 1 when two answers differ, and only then. ``--json PATH`` adds
+the summary to that file's ``cases``. An entry is keyed by its case and
+both sides' SHAs: a rerun of the same code pair replaces its own entry,
+and an A/B of other code appends, so the book keeps the trajectory. A
+checkout without ``.git`` reports the SHA ``unknown``, so such checkouts
+share a key.
 Examples, from the repository root::
 
     python scripts/ab.py ../baseline . --workload oracle-12 --seed 31 \\
@@ -143,6 +146,16 @@ def over_bound(base: dict, new: dict) -> dict[str, float]:
     return out
 
 
+def gain_rule(base: list[float], new: list[float]) -> bool:
+    """Whether paired runs show a gain for a lower-is-better metric: the
+    change is lower in at least 9 of 10 pairs (a tie counts for neither
+    side), and its median is below the baseline median by more than the
+    baseline's interquartile range."""
+    won = sum(n < b for b, n in zip(base, new))
+    (base_median, base_iqr), (new_median, _) = spread(base), spread(new)
+    return 10 * won >= 9 * len(base) and base_median - new_median > base_iqr
+
+
 def entry_key(summary: dict) -> tuple:
     """A book entry's identity: its case and the SHAs of both sides."""
     return (summary["case"], summary["baseline"]["sha"], summary["change"]["sha"])
@@ -223,6 +236,10 @@ def main(argv=None) -> int:
         summary["over_bound"] = over_bound(base, new)
         print("  over bound:", ", ".join(f"{m} {100 * c:+.1f}%" for m, c
                                         in summary["over_bound"].items()) or "none")
+        summary["gain_rule"] = {m: gain_rule(base[m]["runs"], new[m]["runs"])
+                                for m in names if m != "passes"}
+        print("  gain rule met:", ", ".join(
+            m for m, met in summary["gain_rule"].items() if met) or "none")
     print(f"  same answers: {same}")
     if args.json is not None:
         book = (json.loads(args.json.read_text(encoding="utf-8"))

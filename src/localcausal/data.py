@@ -9,6 +9,7 @@ slot in downstream tables.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -26,7 +27,7 @@ class Dataset:
 
     Attributes:
         names: variable names, one per column of the source file.
-        cardinalities: number of categories per variable, each >= 2.
+        cardinalities: int category counts, one per variable, each >= 2.
         columns: C-contiguous int32 array of shape (n_vars, n_rows);
             ``columns[i]`` is the code vector of variable ``i``. Integer or
             bool input with codes in range(min(cardinality, 2**31)) is kept
@@ -38,6 +39,11 @@ class Dataset:
     columns: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        try:
+            cards = tuple(map(operator.index, self.cardinalities))
+        except TypeError:
+            raise DatasetError("every cardinality must be an integer") from None
+        object.__setattr__(self, "cardinalities", cards)
         if len(set(self.names)) != len(self.names):
             raise DatasetError("duplicate variable names")
         if len(self.cardinalities) != len(self.names):
@@ -157,17 +163,12 @@ def load_csv(path: str | Path) -> Dataset:
         raise DatasetError(f"{path}: duplicate name in header")
 
     if columns is None:
-        columns = np.empty((len(names), len(lines) - 1), dtype=np.int32)
-        kept = 0
-        for start in range(1, len(lines), _BLOCK_ROWS):
-            block = lines[start:start + _BLOCK_ROWS]
-            rownums = range(start, start + len(block))
-            if not all(map(str.strip, block)):
-                rownums = [r for r in rownums if lines[r].strip()]
-                block = [lines[r] for r in rownums]
-            columns[:, kept:kept + len(block)] = _parse_block(block, rownums, names, path)
-            kept += len(block)
-        columns = np.ascontiguousarray(columns[:, :kept])
+        rownums = [r for r in range(1, len(lines)) if lines[r].strip()]
+        columns = np.empty((len(names), len(rownums)), dtype=np.int32)
+        for start in range(0, len(rownums), _BLOCK_ROWS):
+            block = rownums[start:start + _BLOCK_ROWS]
+            columns[:, start:start + len(block)] = _parse_block(
+                [lines[r] for r in block], block, names, path)
 
     if sidecar.exists():
         cardinalities = _load_cards(sidecar, len(names))
@@ -252,12 +253,10 @@ def _load_cards(path: Path, n_vars: int) -> tuple[int, ...]:
         raise DatasetError(
             f"{path}: {len(entries)} cardinalities for {n_vars} variables"
         )
-    cards = []
     for i, e in enumerate(entries):
         if not (e.isascii() and e.isdigit()):
             raise DatasetError(f"{path}: line {i + 1}: {e!r} is not an integer")
-        cards.append(int(e))
-    return tuple(cards)
+    return tuple(map(int, entries))
 
 
 def save_csv(data: Dataset, path: str | Path) -> None:
@@ -329,17 +328,15 @@ def contingency(data: Dataset, x: int, y: int, z=()) -> ContingencyTable:
             flat += cols[j]
     else:
         flat = cols[x].astype(np.int64) * ry + cols[y]
-        code, n_strata = None, 1
+        code, n_strata = np.zeros(n, np.int64), 1
         for j in z:
-            col = cols[j]
-            code = col.astype(np.int64) if code is None else code * cards[j] + col
+            code = code * cards[j] + cols[j]
             n_strata *= cards[j]
             if n_strata > n:
                 uniq, code = np.unique(code, return_inverse=True)
                 n_strata = len(uniq)
-        if z:
-            flat *= n_strata
-            flat += code
+        flat *= n_strata
+        flat += code
     counts = np.bincount(flat, minlength=rx * ry * n_strata).reshape(rx, ry, n_strata)
-    seen = counts.reshape(-1, n_strata).any(axis=0)
+    seen = counts.reshape(rx * ry, n_strata).any(axis=0)
     return ContingencyTable(counts if seen.all() else counts.compress(seen, axis=2), n)

@@ -217,19 +217,16 @@ def iamb(engine: CiEngine, target: int) -> set[int]:
     """
     mb: list[int] = []
     while True:
-        best, best_key = None, None
+        grow = []
         for x in range(engine.n_vars):
             if x == target or x in mb:
                 continue
             r = engine.ci_test(target, x, mb)
-            if r.independent or not r.reliable:
-                continue
-            key = (-r.statistic, x)
-            if best_key is None or key < best_key:
-                best, best_key = x, key
-        if best is None:
+            if r.reliable and not r.independent:
+                grow.append((-r.statistic, x))
+        if not grow:
             break
-        mb.append(best)
+        mb.append(min(grow)[1])
     changed = True
     while changed:
         changed = False

@@ -45,7 +45,6 @@ def recog_pc(engine: CiEngine, target: int) -> tuple[set[int], Sepsets]:
     """
     sepsets: Sepsets = {}
     strength: dict[int, float] = {}
-    candidates = []
     for x in range(engine.n_vars):
         if x == target:
             continue
@@ -54,11 +53,9 @@ def recog_pc(engine: CiEngine, target: int) -> tuple[set[int], Sepsets]:
             sepsets[x] = frozenset()
         else:
             strength[x] = r.statistic
-            candidates.append(x)
-    candidates.sort(key=lambda x: (-strength[x], x))
 
     pc: list[int] = []  # admission order
-    for x in candidates:
+    for x in sorted(strength, key=lambda x: (-strength[x], x)):
         pc.append(x)
         for y in list(pc):
             if y not in pc:

@@ -275,13 +275,6 @@ def random_network(rng: np.random.Generator, dag: Dag,
     return CptNetwork(dag, cards, tuple(cpts))
 
 
-def subsets_upto(pool, k):
-    """Every subset of pool with size 0..k, ascending by size."""
-    pool = sorted(pool)
-    for size in range(min(k, len(pool)) + 1):
-        yield from itertools.combinations(pool, size)
-
-
 def load_csv_reference(path) -> Dataset:
     """Parse a dataset file one cell at a time with ``str`` methods.
 

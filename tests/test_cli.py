@@ -222,6 +222,16 @@ def test_learn_refuses_a_card_data_file(tmp_path, capsys):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("card", [None, "2\n2\n2\n"])
+def test_learn_on_a_header_only_csv_exits_0(tmp_path, capsys, card):
+    csv = tmp_path / "d.csv"
+    csv.write_text("a,b,c\n")
+    if card is not None:
+        csv.with_suffix(".card").write_text(card)
+    assert main(["learn", str(csv), "--target", "a"]) == 0
+    assert "internal error" not in capsys.readouterr().err
+
+
 def mutations(raw: bytes, rng, count: int):
     """``count`` single-byte edits of ``raw``, each a replacement, deletion
     or insertion at a seeded position; new bytes are mostly ones the CSV

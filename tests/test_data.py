@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from localcausal import (Dataset, DatasetError, contingency, load_bif, load_csv,
-                         sample, save_csv)
+from localcausal import (Dataset, DatasetError, contingency, g2_statistic, load_bif,
+                         load_csv, sample, save_csv)
 from localcausal.assets import asset_path
 from localcausal.data import _BLOCK_ROWS
 
@@ -50,6 +50,20 @@ def test_dataset_rejects_out_of_range_codes():
     cols = np.array([[0, 3]], dtype=np.int32)
     with pytest.raises(DatasetError, match="outside range"):
         Dataset(("a",), (2,), cols)
+
+
+@pytest.mark.parametrize("card", [2.5, 2.0, "2", None])
+def test_dataset_rejects_cardinalities_that_are_not_integers(card):
+    cols = np.zeros((3, 4), dtype=np.int32)
+    with pytest.raises(DatasetError, match="must be an integer"):
+        Dataset(("a", "b", "c"), (card, 2, 2), cols)
+
+
+def test_dataset_stores_cardinalities_as_a_tuple_of_ints():
+    data = Dataset(("a", "b"), [np.int64(3), 2], np.zeros((2, 4), dtype=np.int32))
+    assert data.cardinalities == (3, 2)
+    assert type(data.cardinalities) is tuple
+    assert [type(r) for r in data.cardinalities] == [int, int]
 
 
 def test_dataset_rejects_mismatched_cardinalities():
@@ -530,6 +544,14 @@ def test_contingency_empty_dataset():
     table = contingency(data, 0, 1)
     assert table.n == 0
     assert table.counts.sum() == 0
+
+
+@pytest.mark.parametrize("z", [(2,), (2, 3)])
+def test_contingency_on_no_rows_has_no_strata(z):
+    data = Dataset(tuple("abcd"), (2, 3, 4, 2), np.empty((4, 0), dtype=np.int32))
+    table = contingency(data, 0, 1, z)
+    assert table.counts.shape == (2, 3, 0) and table.n == 0
+    assert g2_statistic(table) == (0.0, 0)
 
 
 def test_contingency_matches_brute_force():

@@ -4,6 +4,7 @@ import pytest
 from localcausal import (
     CiEngine,
     Dag,
+    Dataset,
     MbResult,
     distinguish_pc,
     emb,
@@ -298,3 +299,20 @@ def test_iamb_grow_skips_tests_without_evidence(alarm_net):
     t = data.index_of("CATECHOL")
     assert len(true_mb(alarm_net.dag, t).mb) == 5
     assert len(iamb(CiEngine.g2(data), t)) <= 10
+
+
+@pytest.mark.parametrize("target, member", [
+    ("HYPOVOLEMIA", "STROKEVOLUME"), ("LVFAILURE", "STROKEVOLUME"), ("HR", "CO")])
+def test_iamb_grow_breaks_ties_on_the_lower_index(alarm_net, target, member):
+    # A copy of a blanket member a > t, appended as the last column, has
+    # the same (t, .) table as a at every grow step, so bit-equal G². The
+    # lower index wins: a is kept, and the copy, separated by a, never
+    # enters.
+    data = sample(alarm_net, 2000, seed=1)
+    t, a = data.index_of(target), data.index_of(member)
+    mb = iamb(CiEngine.g2(data), t)
+    assert a > t and a in mb
+    copy = Dataset((*data.names, f"{member}_copy"),
+                   (*data.cardinalities, data.cardinalities[a]),
+                   np.vstack([data.columns, data.columns[a]]))
+    assert iamb(CiEngine.g2(copy), t) == mb

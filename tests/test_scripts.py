@@ -94,6 +94,10 @@ def test_both_modes_land_in_one_book(book, checkouts):
     assert set(perf["over_bound"]) <= {"run_s", "setup_s", "peak_rss_mb"}
     assert "over_bound" not in cli
     assert "  over bound: " in outputs[0] and "over bound" not in outputs[1]
+    assert set(perf["gain_rule"]) == set(perf["baseline"]) - {
+        "sha", "src_lines", "answers", "passes"}
+    assert "gain_rule" not in cli
+    assert "  gain rule met: " in outputs[0] and "gain rule" not in outputs[1]
     # the side that runs first alternates from pair to pair
     for out in outputs:
         order = [ln.split()[:3] for ln in out.splitlines()
@@ -124,6 +128,22 @@ def test_over_bound_flags_end_to_end_metrics_past_their_bound(ab):
                                  new) == {}
     # a metric BENCHMARK.json does not bound is never flagged
     assert ab.over_bound(base, {**base, "first_pass_s": {"median": 20.0}}) == {}
+
+
+def test_gain_rule_needs_nine_of_ten_pairs_and_a_gap_past_the_iqr(ab):
+    base = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]  # IQR 0.45
+    lower = [b - 0.5 for b in base]
+    assert ab.gain_rule(base, lower)
+    # 9 of 10 pairs lower, the median gap 0.5 past the IQR
+    assert ab.gain_rule(base, lower[:9] + [2.5])
+    # 8 of 10 pairs lower
+    assert not ab.gain_rule(base, lower[:8] + [2.5, 2.5])
+    # a tied pair counts for neither side: 9 lower and a tie pass,
+    # 8 lower and two ties do not
+    assert ab.gain_rule(base, lower[:9] + base[9:])
+    assert not ab.gain_rule(base, lower[:8] + base[8:])
+    # every pair lower, but by less than the baseline's IQR
+    assert not ab.gain_rule(base, [b - 0.4 for b in base])
 
 
 def test_cli_case_keeps_the_committed_format(book):

@@ -160,10 +160,11 @@ class CiEngine:
     its first variable's row (see :meth:`ci_test`); every other miss is
     computed alone. An oracle miss stores one of two shared results, one
     per verdict. A separator search, :meth:`first_independent`, takes a
-    pool and enumerates, caps and checks its subsets itself; under the
-    oracle, a search between adjacent variables only counts its subsets,
-    so the store holds none of them. ``max_cond_size``, None or a
-    nonnegative integer (not a bool), caps only that search.
+    pool and enumerates, caps and checks its subsets itself; a search no
+    subset can win (adjacent variables under the oracle, fewer rows than
+    ``reliability_k`` on data) only counts its subsets, so the store
+    holds none of them. ``max_cond_size``, None or a nonnegative integer
+    (not a bool), caps only that search.
     """
 
     def __init__(self, *, data: Optional[Dataset] = None, dag: Optional[Dag] = None,
@@ -236,24 +237,27 @@ class CiEngine:
         return result
 
     def first_independent(self, x: int, y: int, pool: Iterable[int]
-                          ) -> Optional[tuple[int, ...]]:
+                          ) -> Optional[frozenset[int]]:
         """First z, a non-empty subset of ``pool`` of at most
         ``max_cond_size`` members, given which x and y are independent,
         or None. Subsets are asked in ascending size, lexicographic
         within a size (pool sorted by index), each counted and answered
-        as :meth:`ci_test` would. x, y and the pool are checked once,
-        before any query: a bad index or an overlap raises ValueError
-        and leaves the counter and the store as they were. Under the
-        oracle, when x and y are adjacent no z separates them: the
-        search only counts its subsets, stores nothing and returns
-        None."""
+        as :meth:`ci_test` would; the empty set is never a witness, and
+        reaching the cap means no separator of a permitted size exists.
+        x, y and the pool are checked once, before any query: a bad index
+        or an overlap raises ValueError and leaves the counter and the
+        store as they were. When no z can win (x and y adjacent under the
+        oracle, or fewer rows than ``reliability_k`` on data, where every
+        test is unreliable) the search only counts its subsets, stores
+        nothing and returns None."""
         x, y = index(x), index(y)
         pool = sorted(set(map(index, pool)))
         self._check(x, y, pool)
         cap = self.max_cond_size
         top = len(pool) if cap is None else min(cap, len(pool))
         dag = self._dag
-        if dag is not None and (dag.bitsets[0][x] | dag.bitsets[1][x]) >> y & 1:
+        if (self._data.n_rows < self.reliability_k if dag is None
+                else (dag.bitsets[0][x] | dag.bitsets[1][x]) >> y & 1):
             self._count += sum(math.comb(len(pool), k) for k in range(1, top + 1))
             return None
         results, lo, hi = self._results, min(x, y), max(x, y)
@@ -262,7 +266,7 @@ class CiEngine:
                 result = results.get((lo, hi, z)) or self._miss(x, y, z)
                 self._count += 1
                 if result.independent:
-                    return z
+                    return frozenset(z)
         return None
 
     def _check(self, x: int, y: int, z: Sequence[int]) -> None:

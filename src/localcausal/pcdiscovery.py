@@ -12,27 +12,13 @@ clear.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
 from .citest import CiEngine
 
 # Separating sets recorded during the search, keyed by pruned variable.
 Sepsets = dict[int, frozenset[int]]
 
 
-def find_separator(engine: CiEngine, a: int, b: int,
-                   pool: Iterable[int]) -> Optional[frozenset[int]]:
-    """First subset of ``pool`` rendering a and b independent, or None.
-
-    The engine's separator search (:meth:`CiEngine.first_independent`):
-    non-empty subsets in ascending size, capped at the engine's
-    ``max_cond_size``. Callers only reach this search for pairs already
-    known dependent unconditionally, so the empty set is never a
-    witness; hitting the cap simply means no separator was found at a
-    permitted size.
-    """
-    z = engine.first_independent(a, b, pool)
-    return None if z is None else frozenset(z)
+find_separator = CiEngine.first_independent
 
 
 def recog_pc(engine: CiEngine, target: int) -> tuple[set[int], Sepsets]:
@@ -58,8 +44,6 @@ def recog_pc(engine: CiEngine, target: int) -> tuple[set[int], Sepsets]:
     for x in sorted(strength, key=lambda x: (-strength[x], x)):
         pc.append(x)
         for y in list(pc):
-            if y not in pc:
-                continue  # evicted earlier in this sweep
             z = find_separator(engine, target, y, (m for m in pc if m != y))
             if z is not None:
                 pc.remove(y)

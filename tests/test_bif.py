@@ -340,3 +340,39 @@ probability ( B | A ) { ( "}" ) 0.9, 0.1; ( a ) 0.2, 0.8; }
 def test_assembly_diagnostic_position(text, message, line, col):
     err = error_position(text)
     assert str(err) == f"line {line}, column {col}: {message}"
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    # at the head of the second block, not the first
+    (GOOD + "probability ( A ) {\n  table 0.5, 0.5;\n}\n",
+     "second probability block for 'A'", 17, 13),
+    ("network n {\n  property p 1;\n", "unterminated network block", 3, 1),
+    (GOOD.replace("[ 2 ]", "[ 2.0 ]"), "state count must be an integer", 5, 19),
+    (GOOD.replace("{ yes, no }", "{ yes, yes }"), "duplicate state name", 5, 19),
+    (GOOD.replace("  type discrete [ 2 ] { yes, no };\n", "  property p 1;\n"),
+     "variable 'A' has no type declaration", 4, 10),
+    (GOOD.replace("probability ( A )", "probability ( Zz )"),
+     "unknown variable 'Zz'", 10, 15),
+    (GOOD.replace("table 0.3, 0.7;", "table 0.3, 0.7; table 0.5, 0.5;"),
+     "second table row", 11, 19),
+    (GOOD.replace("table 0.3, 0.7;", "( yes ) 0.3, 0.7;"),
+     "state-tuple row in a parentless block", 11, 3),
+    (GOOD.replace("( yes )", "( yes, no )"),
+     "row names 2 states for 1 parents", 14, 3),
+    # found at assembly, at the head of A's block
+    (GOOD.replace("table 0.3, 0.7;", ""), "missing 'table' row for 'A'", 10, 13),
+], ids=["second-block", "open-network", "count-not-int", "duplicate-state",
+        "no-type", "unknown-child", "second-table", "tuple-no-parents",
+        "row-width", "no-table"])
+def test_block_and_row_diagnostics(text, message, line, col):
+    err = error_position(text)
+    assert str(err) == f"line {line}, column {col}: {message}"
+    assert (err.line, err.col) == (line, col)
+
+
+def test_property_in_a_probability_block_is_skipped():
+    net = parse_bif(GOOD.replace("table 0.3, 0.7;",
+                                 "property p = (1, 2); table 0.3, 0.7;"))
+    good = parse_bif(GOOD)
+    assert net.dag == good.dag
+    assert all(np.array_equal(a, b) for a, b in zip(net.cpts, good.cpts))

@@ -275,6 +275,12 @@ def test_cpt_network_validation():
         CptNetwork(dag, (2,), (good_a, good_b))
 
 
+def test_cpt_network_rejects_cardinality_1():
+    dag = Dag.from_edges("ab", [("a", "b")])
+    with pytest.raises(ValueError, match="at least 2"):
+        CptNetwork(dag, (1, 2), (np.array([[1.0]]), np.array([[0.2, 0.8]])))
+
+
 def test_sample_deterministic(trace_net):
     a = sample(trace_net, 100, seed=42)
     b = sample(trace_net, 100, seed=42)

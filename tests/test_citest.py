@@ -685,15 +685,17 @@ def test_level0_queries_ask_the_scanned_variable_first(monkeypatch):
 
 def separator_searches(alarm_net):
     """(engine factory taking max_cond_size, searches) on alarm data, the
-    alarm DAG and two random 12-node DAGs. A search is (x, y, pool);
-    pools hold 0 to 5 variables, and every search is asked again with x
-    and y swapped, so that later ones meet a warm store."""
-    data = sample(alarm_net, 500, 6)
+    alarm DAG, two random 12-node DAGs and 4 rows of alarm data, fewer
+    than ``reliability_k``. A search is (x, y, pool); pools hold 0 to 5
+    variables, and every search is asked again with x and y swapped, so
+    that later ones meet a warm store."""
+    data, few = sample(alarm_net, 500, 6), sample(alarm_net, 4, 6)
     rng = np.random.Generator(np.random.PCG64(41))
     dags = [alarm_net.dag] + [random_dag_fixed_edges(rng, 12) for _ in range(2)]
     makers = [(lambda cap: CiEngine.g2(data, max_cond_size=cap), data.n_vars)]
     makers += [(lambda cap, dag=dag: CiEngine.oracle(dag, max_cond_size=cap),
                 dag.n_vars) for dag in dags]
+    makers.append((lambda cap: CiEngine.g2(few, max_cond_size=cap), few.n_vars))
     out = []
     for make, n in makers:
         searches = []
@@ -707,18 +709,22 @@ def separator_searches(alarm_net):
     return out
 
 
-def adjacent(engine, x, y) -> bool:
+def unwinnable(engine, x, y) -> bool:
+    """Whether no z can separate x and y: adjacent under the oracle, or
+    fewer rows than ``reliability_k`` on data."""
     dag = engine._dag
-    return dag is not None and (x in dag.parents[y] or y in dag.parents[x])
+    if dag is None:
+        return engine._data.n_rows < engine.reliability_k
+    return x in dag.parents[y] or y in dag.parents[x]
 
 
 @pytest.mark.parametrize("cap", [None, 0, 1, 2])
 def test_separator_search_matches_a_ci_test_loop(alarm_net, cap):
-    # find_separator's one engine loop against the ci_test loop it
-    # replaced: the same separator, the same counter steps, and the same
-    # store, key for key and in the same order, except that an oracle
-    # search between adjacent variables stores nothing (every one of its
-    # queries is "connected")
+    # the engine's one search loop against a ci_test loop: the same
+    # separator, the same counter steps, and the same store, key for key
+    # and in the same order, except that a search no z can win (adjacent
+    # variables under the oracle, too few rows on data) stores nothing:
+    # every one of its queries is "dependent"
     left_out = 0
     for make, searches in separator_searches(alarm_net):
         loop, engine = make(cap), make(cap)
@@ -730,11 +736,11 @@ def test_separator_search_matches_a_ci_test_loop(alarm_net, cap):
             assert find_separator(engine, x, y, pool) == want, (x, y, pool)
             assert engine.test_count - before[1] == loop.test_count - before[0]
         assert engine.test_count == loop.test_count
-        edge_keys = [key for key in loop._results if adjacent(loop, *key[:2])]
+        skipped = [key for key in loop._results if unwinnable(loop, *key[:2])]
         assert list(engine._results.items()) == [
-            item for item in loop._results.items() if item[0] not in edge_keys]
-        assert not any(loop._results[key].independent for key in edge_keys)
-        left_out += len(edge_keys)
+            item for item in loop._results.items() if item[0] not in skipped]
+        assert not any(loop._results[key].independent for key in skipped)
+        left_out += len(skipped)
     assert left_out or cap == 0
 
 
@@ -773,6 +779,31 @@ def test_oracle_search_between_adjacent_variables_only_counts(
                 assert engine.test_count == count
                 calls.clear()
         assert engine._results == {}
+
+
+@pytest.mark.parametrize("cap", [None, 0, 1, 2])
+def test_data_search_below_reliability_k_only_counts(alarm_net, monkeypatch, cap):
+    # with fewer rows than reliability_k every test is unreliable, so no
+    # z separates any pair: the search returns None and steps the counter
+    # by the number of subsets it would have asked, computing no table
+    # and storing nothing. At reliability_k rows it walks its subsets
+    rng = np.random.Generator(np.random.PCG64(43))
+    calls = counting(monkeypatch)
+    for n, k in ((0, 5.0), (4, 5.0), (4, 4.5), (1, 2.0), (4, 4.0), (0, 0.0)):
+        engine = CiEngine.g2(sample(alarm_net, n, 7), reliability_k=k,
+                             max_cond_size=cap)
+        n_vars = engine.n_vars
+        for _ in range(15):
+            x, y = (int(v) for v in rng.choice(n_vars, size=2, replace=False))
+            others = [v for v in range(n_vars) if v not in (x, y)]
+            pool = [int(v) for v in rng.choice(others, size=int(rng.integers(1, 7)),
+                                                 replace=False)]
+            count, z = engine.test_count, find_separator(engine, x, y, pool)
+            if n < k:
+                assert z is None and calls == [] and engine._results == {}
+                assert engine.test_count == count + len(conditioning_sets(pool, cap))
+        assert (calls == []) == (n < k or cap == 0), (n, k)
+        calls.clear()
 
 
 def test_engine_is_symmetric_in_x_and_y(alarm_net):

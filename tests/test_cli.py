@@ -55,6 +55,11 @@ def test_sample_rejects_negative_seed(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_learn_rejects_a_negative_max_cond(sampled, capsys):
+    assert main(["learn", str(sampled), "--target", "T", "--max-cond", "-1"]) == 1
+    assert "usage error: max-cond must be nonnegative" in capsys.readouterr().err
+
+
 def test_sample_rejects_a_card_path(tmp_path, capsys):
     args, out = sample_args(tmp_path, name="x.card", n=5)
     assert main(args) == 2
@@ -222,13 +227,27 @@ def test_learn_refuses_a_card_data_file(tmp_path, capsys):
         capsys.readouterr().err
 
 
-@pytest.mark.parametrize("card", [None, "2\n2\n2\n"])
-def test_learn_on_a_header_only_csv_exits_0(tmp_path, capsys, card):
+@pytest.mark.parametrize("header, card", [
+    pytest.param("a,b,c", None, id="None"),
+    pytest.param("a,b,c", "2\n2\n2\n", id="2\n2\n2\n"),
+    pytest.param("alarm", None, id="alarm")])
+def test_learn_on_a_header_only_csv_exits_0(tmp_path, capsys, alarm_net,
+                                            header, card):
+    # with no rows every test is unreliable, so each separator search only
+    # counts its subsets: alarm's 37 names finish at once, and a cap of 2
+    # still reports the count of the full walk
+    alarm = header == "alarm"
     csv = tmp_path / "d.csv"
-    csv.write_text("a,b,c\n")
+    csv.write_text((",".join(alarm_net.names) if alarm else header) + "\n")
     if card is not None:
         csv.with_suffix(".card").write_text(card)
-    assert main(["learn", str(csv), "--target", "a"]) == 0
+    target = "HR" if alarm else "a"
+    assert main(["learn", str(csv), "--target", target]) == 0
+    if alarm:
+        out = tmp_path / "r.json"
+        assert main(["learn", str(csv), "--target", target, "--max-cond", "2",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["ci_tests"] == 8_769_777
     assert "internal error" not in capsys.readouterr().err
 
 

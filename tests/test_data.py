@@ -72,6 +72,12 @@ def test_dataset_rejects_mismatched_cardinalities():
         Dataset(("a", "b"), (2,), cols)
 
 
+@pytest.mark.parametrize("shape", [(3,), (3, 2), (2, 2, 2), (1, 3)])
+def test_dataset_rejects_columns_that_are_not_vars_by_rows(shape):
+    with pytest.raises(DatasetError, match=re.escape("(n_vars, n_rows)")):
+        Dataset(("a", "b"), (2, 2), np.zeros(shape, dtype=np.int32))
+
+
 @pytest.mark.parametrize("n_rows", [0, 1, 63, 64, 65, 1000])
 def test_value_bits_hold_one_row_per_variable_and_value(n_rows):
     cards = (2, 3, 5, 2)
@@ -153,6 +159,13 @@ def test_load_csv_rejects_empty_file(tmp_path):
     csv = tmp_path / "d.csv"
     csv.write_text("")
     with pytest.raises(DatasetError, match="empty file"):
+        load_csv(csv)
+
+
+def test_load_csv_rejects_an_empty_header_name(tmp_path):
+    csv = tmp_path / "d.csv"
+    csv.write_text("a,,c\n0,0,0\n")
+    with pytest.raises(DatasetError, match="empty name in header"):
         load_csv(csv)
 
 

@@ -249,6 +249,14 @@ def test_mbresult_validate_overlap():
         bad.validate()
 
 
+def test_mbresult_validate_target_in_its_blanket():
+    for pc, spouses in (({0, 1}, {}), ({1}, {1: {0}})):
+        bad = MbResult(target=0, pc=pc, spouses=spouses, candidate_spouses={},
+                       sepsets={}, parents=pc, children=set(), undecided=set())
+        with pytest.raises(ValueError, match="own blanket"):
+            bad.validate()
+
+
 def test_mbresult_validate_spouse_key_outside_pc():
     bad = MbResult(target=0, pc={1}, spouses={2: {3}}, candidate_spouses={},
                    sepsets={}, parents={1}, children=set(), undecided=set())
